@@ -10,18 +10,25 @@
 //! to reveal the other OLEVs' schedules.
 //!
 //! For the water-filling scheduler the root is found in marginal-price space
-//! (see [`demand_at_marginal`]): one bisection over `μ` with O(C) probes,
-//! rather than a bisection over `p_n` whose every probe runs a full
-//! water-filling level search. Greedy scheduling (the linear baseline) keeps
-//! the request-space solve.
+//! on the grid's water levels: the piecewise-linear `A(μ)` locates the
+//! affine piece on which `U'(A(μ)) − μ` changes sign, a scalar root solve
+//! with O(1) probes finishes inside it, and the schedule is read off at that
+//! level — no level search at all. Greedy scheduling (the linear baseline)
+//! keeps the request-space solve.
 
-use crate::payment::{quote, Scheduler};
+use crate::payment::{payment_for_schedule, quote, Scheduler};
 use crate::pricing::SectionCost;
 use crate::satisfaction::Satisfaction;
-use crate::waterfill::{demand_at_marginal, Allocation};
+use crate::waterfill::{Allocation, WaterLevels};
 
-/// Bisection iterations for the interior root of Eq. 22.
+/// Bisection iterations for the interior root of Eq. 22 under greedy
+/// scheduling.
 const BISECT_ITERS: usize = 60;
+
+/// Probe budget of the scalar root solve inside one piece of `A`; the
+/// false-position steps below collapse the bracket to adjacent floats in
+/// far fewer.
+const ROOT_PROBES: usize = 100;
 
 /// The outcome of one best response.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,13 +65,8 @@ pub fn best_response(
     );
     assert_eq!(caps.len(), loads_excl.len(), "caps/loads length mismatch");
 
-    // The fast path: for a strictly convex cost with a closed-form `Z'⁻¹`,
-    // the FOC is solved by a single bisection in marginal-price space
-    // instead of nesting a water-filling level search inside every probe.
     if scheduler == Scheduler::WaterFilling {
-        if let Some(br) = waterfilling_response(satisfaction, cost, caps, loads_excl, p_max) {
-            return br;
-        }
+        return waterfilling_response(satisfaction, cost, caps, loads_excl, p_max);
     }
 
     let marginal_at = |p: f64| scheduler.allocate(cost, caps, loads_excl, p).marginal;
@@ -102,67 +104,98 @@ pub fn best_response(
 
 /// Eq. 22 solved in marginal-price space.
 ///
-/// The grid's quote has marginal `Ψ'_n(p) = μ` where `A(μ) = p` and
-/// `A(μ) = Σ_c [Z'⁻¹(μ) − P_{-n,c}]⁺` ([`demand_at_marginal`]) is the
-/// non-decreasing total the water-filling schedule hands out at price level
-/// `μ`. The interior FOC `U'(p) = Ψ'(p)` therefore reads
-/// `g(μ) = U'(A(μ)) − μ = 0` with `g` strictly decreasing, bracketed by
-/// `[min_c Z'(P_{-n,c}), U'(0)]`. One bisection in `μ` with O(C) probes
-/// replaces a bisection in `p` whose every probe was itself a full O(C)
-/// water-filling level search — the hot-path cost per best response drops
-/// from O(iters² · C) to O(iters · C).
-///
-/// Returns `None` (caller falls back to the total-request-space solve) when
-/// the cost lacks a closed-form `Z'⁻¹` or the satisfaction has an unbounded
-/// marginal at zero.
+/// The grid's quote has marginal `Ψ'_n(p) = μ` where `A(μ) = p`, and `A` is
+/// the piecewise-linear total the water-filling schedule hands out at price
+/// level `μ` (`WaterLevels`). The interior FOC `U'(p) = Ψ'(p)` therefore
+/// reads `g(μ) = U'(A(μ)) − μ = 0` with `g` strictly decreasing, bracketed
+/// by `[Ψ'(0), Ψ'(P_OLEV)]`. Testing `g` at the breakpoints of `A` finds the
+/// affine piece `A(μ) = sμ + t` holding the root; there `U'(sμ + t) = μ` is
+/// a scalar equation with O(1) probes, and the schedule is `A`'s own split
+/// at the root level.
 fn waterfilling_response(
     satisfaction: &dyn Satisfaction,
     cost: &SectionCost,
     caps: &[f64],
     loads_excl: &[f64],
     p_max: f64,
-) -> Option<BestResponse> {
-    // Ψ'(0): the cheapest section's current marginal cost.
-    let mu_min = caps
-        .iter()
-        .zip(loads_excl)
-        .map(|(&cap, &load)| cost.z_prime(load, cap))
-        .fold(f64::INFINITY, f64::min);
-
-    let u0 = satisfaction.derivative(0.0);
-    let total = if p_max == 0.0 || u0 - mu_min <= 0.0 {
+) -> BestResponse {
+    let levels = WaterLevels::new(cost, caps, loads_excl);
+    let floor = levels.floor();
+    let (total, mu) = if p_max == 0.0 || satisfaction.derivative(0.0) <= floor {
         // Case 1: already unprofitable at zero.
-        0.0
-    } else if demand_at_marginal(cost, caps, loads_excl, satisfaction.derivative(p_max))? >= p_max {
-        // Case 2: still profitable at the capacity bound
-        // (U'(p_max) ≥ Ψ'(p_max)  ⇔  A(U'(p_max)) ≥ p_max, A monotone).
-        p_max
+        (0.0, floor)
     } else {
-        // Case 3: interior root of g(μ) = U'(A(μ)) − μ.
-        if !u0.is_finite() {
-            return None;
+        let mu_max = levels.level(p_max);
+        if satisfaction.derivative(p_max) >= mu_max {
+            // Case 2: still profitable at the capacity bound.
+            (p_max, mu_max)
+        } else {
+            // Case 3: interior root of g(μ) = U'(A(μ)) − μ.
+            let piece = levels.crossing(mu_max, |mu, a| satisfaction.derivative(a) - mu);
+            let mu = decreasing_root(
+                |mu| satisfaction.derivative(piece.total_at(mu)) - mu,
+                piece.lo,
+                piece.hi,
+            );
+            (piece.total_at(mu).min(p_max), mu)
         }
-        let (mut lo, mut hi) = (mu_min, u0);
-        for _ in 0..BISECT_ITERS {
-            let mid = 0.5 * (lo + hi);
-            let demand = demand_at_marginal(cost, caps, loads_excl, mid)?;
-            if satisfaction.derivative(demand) - mid > 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        demand_at_marginal(cost, caps, loads_excl, 0.5 * (lo + hi))?.min(p_max)
     };
 
-    let q = quote(cost, caps, loads_excl, Scheduler::WaterFilling, total);
-    let utility = satisfaction.value(total) - q.payment;
-    Some(BestResponse {
+    let allocation = levels.allocation(mu, total);
+    let payment = payment_for_schedule(cost, caps, loads_excl, &allocation.shares);
+    let utility = satisfaction.value(total) - payment;
+    BestResponse {
         total,
-        allocation: q.allocation,
-        payment: q.payment,
+        allocation,
+        payment,
         utility,
-    })
+    }
+}
+
+/// The root of a strictly decreasing `h` on `[lo, hi]` by false position
+/// with the Illinois correction: each probe keeps the root bracketed, and
+/// an endpoint kept twice in a row has its value halved so both ends
+/// converge. A probe that would not land strictly inside the bracket (an
+/// unbounded `U'(0)` at the left end, say) is replaced by the midpoint.
+/// Returns an endpoint when `h` does not change sign.
+fn decreasing_root(h: impl Fn(f64) -> f64, mut lo: f64, mut hi: f64) -> f64 {
+    let (mut h_lo, mut h_hi) = (h(lo), h(hi));
+    if h_lo <= 0.0 {
+        return lo;
+    }
+    if h_hi >= 0.0 {
+        return hi;
+    }
+    // Which end the last probe replaced: −1 the low one, 1 the high one.
+    let mut moved = 0;
+    for _ in 0..ROOT_PROBES {
+        let mut mu = hi - h_hi * (hi - lo) / (h_hi - h_lo);
+        if !(mu > lo && mu < hi) {
+            mu = 0.5 * (lo + hi);
+            if !(mu > lo && mu < hi) {
+                break; // the bracket is two adjacent floats
+            }
+        }
+        let v = h(mu);
+        if v > 0.0 {
+            lo = mu;
+            h_lo = v;
+            if moved == -1 {
+                h_hi *= 0.5;
+            }
+            moved = -1;
+        } else if v < 0.0 {
+            hi = mu;
+            h_hi = v;
+            if moved == 1 {
+                h_lo *= 0.5;
+            }
+            moved = 1;
+        } else {
+            return mu;
+        }
+    }
+    0.5 * (lo + hi)
 }
 
 #[cfg(test)]

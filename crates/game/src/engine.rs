@@ -402,7 +402,8 @@ impl Game {
     /// Runs asynchronous best responses until convergence or `max_updates`.
     ///
     /// Convergence: `N` consecutive updates (one full cycle) each changed an
-    /// OLEV's total by less than the tolerance.
+    /// OLEV's total by less than the tolerance — `4N` under random polling,
+    /// which must also have polled every OLEV at least once.
     ///
     /// # Errors
     ///
@@ -463,11 +464,19 @@ impl Game {
         let mut report = crate::faults::DegradationReport::default();
         let mut calm_streak = 0usize;
         let mut updates = 0usize;
+        // OLEVs not yet polled: a calm streak that never reached one of
+        // them says nothing about its best response.
+        let mut polled = vec![false; n_olevs];
+        let mut unpolled = n_olevs;
         while updates < max_updates {
             let n = match &mut rng {
                 Some(r) => r.gen_range(0..n_olevs),
                 None => updates % n_olevs,
             };
+            if !polled[n] {
+                polled[n] = true;
+                unpolled -= 1;
+            }
             let change = {
                 let _span = telemetry.span("engine.update", n as i64);
                 self.update_olev(n)?
@@ -494,12 +503,13 @@ impl Game {
             }
             // A full calm cycle: with round-robin that provably covers every
             // OLEV; with random polling we require a longer streak so that
-            // every OLEV has overwhelming probability of being included.
+            // every OLEV has overwhelming probability of being included, and
+            // every OLEV polled at least once.
             let needed = match order {
                 UpdateOrder::RoundRobin => n_olevs,
                 UpdateOrder::Random { .. } => 4 * n_olevs,
             };
-            if calm_streak >= needed {
+            if calm_streak >= needed && unpolled == 0 {
                 telemetry.counter("engine.converged", -1, 1);
                 return Ok(Outcome {
                     converged: true,

@@ -16,8 +16,8 @@
 //!
 //! 1. Given the others' schedules, the grid serves a request `p_n` with the
 //!    cost-minimizing [water-filling schedule](mod@waterfill) of Lemma IV.1
-//!    (`p_{n,c} = [λ* − P_{-n,c}]⁺`, λ* by bisection) and bills the
-//!    *incremental* cost ([`payment`], Eqs. 8–16).
+//!    (`p_{n,c} = [λ* − P_{-n,c}]⁺`, λ* exact from a breakpoint sweep) and
+//!    bills the *incremental* cost ([`payment`], Eqs. 8–16).
 //! 2. Each OLEV plays its [best response](mod@best_response) (Lemma IV.3) to the
 //!    posted payment function.
 //! 3. The [asynchronous engine](engine) iterates 1–2; because payments equal

@@ -254,27 +254,20 @@ impl SectionCost {
         self.policy.is_strictly_convex()
     }
 
-    /// The closed-form inverse of `Z'` where it exists: the load `x ≥ 0` with
-    /// `Z'(x) = μ` for a section of capacity `cap`.
+    /// The slopes of `Z'` for a section of capacity `cap`: `Z''` below the
+    /// knee and past it.
     ///
     /// `Z'` is piecewise linear for the nonlinear policy plus quadratic
-    /// overload, so the inverse is exact; the linear baseline has a flat
-    /// `Z'` below the knee and returns `None` (the degeneracy that rules out
-    /// water-filling).
+    /// overload — `β̃/P` below the knee, `β̃/P + 2κ` past it — which is what
+    /// lets the water-filling scheduler sweep its breakpoints exactly. The
+    /// linear baseline has a flat `Z'` below the knee and returns `None`
+    /// (the degeneracy that rules out water-filling).
     #[must_use]
-    pub fn z_prime_inverse(&self, mu: f64, cap: f64) -> Option<f64> {
-        let knee = self.knee(cap);
+    pub fn z_prime_slopes(&self, cap: f64) -> Option<(f64, f64)> {
         match &self.policy {
             PricingPolicy::Nonlinear(p) => {
-                // Below the knee only V is active: β̃(α + x/cap) = μ.
-                let x_below = cap * (mu / p.beta - p.alpha);
-                if x_below <= knee {
-                    return Some(x_below.max(0.0));
-                }
-                // Past the knee: β̃(α + x/cap) + 2κ(x − knee) = μ.
-                let kappa = self.overload.kappa;
-                let x = (mu - p.beta * p.alpha + 2.0 * kappa * knee) / (p.beta / cap + 2.0 * kappa);
-                Some(x.max(0.0))
+                let below = p.beta / cap;
+                Some((below, below + 2.0 * self.overload.kappa))
             }
             PricingPolicy::Linear(_) => None,
         }
@@ -362,6 +355,19 @@ mod tests {
     }
 
     #[test]
+    fn z_prime_slopes_match_finite_differences() {
+        let z = SectionCost::new(
+            PricingPolicy::Nonlinear(nl()),
+            OverloadPenalty::new(0.15),
+            0.9,
+        );
+        let (below, past) = z.z_prime_slopes(60.0).unwrap();
+        let h = 1e-3;
+        assert!(((z.z_prime(20.0 + h, 60.0) - z.z_prime(20.0, 60.0)) / h - below).abs() < 1e-9);
+        assert!(((z.z_prime(70.0 + h, 60.0) - z.z_prime(70.0, 60.0)) / h - past).abs() < 1e-9);
+    }
+
+    #[test]
     fn linear_section_cost_rejects_waterfilling() {
         let z = SectionCost::new(
             PricingPolicy::Linear(LinearPricing::paper_default(15.0)),
@@ -369,6 +375,7 @@ mod tests {
             0.9,
         );
         assert!(!z.supports_waterfilling());
+        assert_eq!(z.z_prime_slopes(60.0), None);
     }
 
     #[test]

@@ -4,10 +4,16 @@
 //! minimizing `Σ_c Z(P_{-n,c} + p_{n,c})` subject to `Σ_c p_{n,c} = p_n`
 //! equalizes marginal costs across the touched sections: there is a unique
 //! level such that `p_{n,c} = [x_c(μ*) − P_{-n,c}]⁺` with `Z'(x_c(μ*)) = μ*`.
-//! With identical sections this reduces to the paper's load-level form
-//! `p_{n,c} = [λ* − P_{-n,c}]⁺` (Eq. 12), and the level is found by bisection
-//! exactly as Section IV.F prescribes, since `Y(λ) = Σ_c [λ − P_{-n,c}]⁺`
-//! (Eq. 24) is strictly increasing past the smallest load.
+//! `Z'` is piecewise linear (the nonlinear `V` plus the quadratic overload of
+//! Eq. 6), so the total handed out at level `μ`,
+//! `A(μ) = Σ_c [x_c(μ) − P_{-n,c}]⁺` — the paper's `Y` of Eq. 24, which
+//! Section IV.F solves by bisection — is piecewise linear too, with at most
+//! `2C` breakpoints: each section's activation price `Z'(P_{-n,c})` and its
+//! knee price `Z'(η·P_line)`. `WaterLevels` sorts them once and sweeps the
+//! slope of `A`; the level of a total is then the exact inverse of the affine
+//! piece that brackets it. With identical sections this reduces to the
+//! paper's load-level form `p_{n,c} = [λ* − P_{-n,c}]⁺` (Eq. 12), whose
+//! breakpoints are the loads themselves.
 //!
 //! **Greedy filling.** Under the linear baseline `Z'` is flat below the knee,
 //! the minimizer is not unique, and nothing pushes the grid to balance; this
@@ -15,9 +21,6 @@
 //! paper observes in Figs. 5(c)/6(c).
 
 use crate::pricing::SectionCost;
-
-/// Bisection iteration budget; enough for ~1e-18 relative precision.
-const BISECT_ITERS: usize = 60;
 
 /// One grid-side allocation of a total request across sections.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,8 +46,7 @@ pub fn y_function(loads: &[f64], level: f64) -> f64 {
     loads.iter().map(|&l| (level - l).max(0.0)).sum()
 }
 
-/// Finds the unique load level `λ*` with `Y(λ*) = total` by bisection
-/// (Section IV.F).
+/// Finds the unique load level `λ*` with `Y(λ*) = total` (Section IV.F).
 ///
 /// # Panics
 ///
@@ -52,6 +54,24 @@ pub fn y_function(loads: &[f64], level: f64) -> f64 {
 /// finite.
 #[must_use]
 pub fn water_level(loads: &[f64], total: f64) -> f64 {
+    identical_levels(loads, total).level(total)
+}
+
+/// Eq. 12: the load-level water-filling schedule `[λ* − P_{-n,c}]⁺` for
+/// identical sections.
+///
+/// # Panics
+///
+/// As for [`water_level`].
+#[must_use]
+pub fn waterfill(loads: &[f64], total: f64) -> Vec<f64> {
+    identical_levels(loads, total).allocate(total).shares
+}
+
+/// Eq. 12 as the identical-section case of [`WaterLevels`]: the level is a
+/// load, and each section takes one unit per unit of level above its own
+/// load, so the breakpoints are the loads.
+fn identical_levels(loads: &[f64], total: f64) -> WaterLevels {
     assert!(!loads.is_empty(), "need at least one section");
     assert!(
         total >= 0.0 && total.is_finite(),
@@ -61,30 +81,17 @@ pub fn water_level(loads: &[f64], total: f64) -> f64 {
         loads.iter().all(|l| l.is_finite() && *l >= 0.0),
         "loads must be non-negative"
     );
-    let lo0 = loads.iter().fold(f64::INFINITY, |m, &l| m.min(l));
-    if total == 0.0 {
-        return lo0;
-    }
-    let (mut lo, mut hi) = (lo0, loads.iter().fold(0.0f64, |m, &l| m.max(l)) + total);
-    for _ in 0..BISECT_ITERS {
-        let mid = 0.5 * (lo + hi);
-        if y_function(loads, mid) < total {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
-/// Eq. 12: the load-level water-filling schedule `[λ* − P_{-n,c}]⁺` for
-/// identical sections.
-#[must_use]
-pub fn waterfill(loads: &[f64], total: f64) -> Vec<f64> {
-    let level = water_level(loads, total);
-    let mut shares: Vec<f64> = loads.iter().map(|&l| (level - l).max(0.0)).collect();
-    renormalize(&mut shares, total);
-    shares
+    WaterLevels::from_pieces(
+        loads
+            .iter()
+            .map(|&start| Piece {
+                start,
+                knee: f64::INFINITY,
+                below: 1.0,
+                past: 1.0,
+            })
+            .collect(),
+    )
 }
 
 /// Marginal-cost water-filling for (possibly) heterogeneous sections: finds
@@ -103,94 +110,206 @@ pub fn marginal_waterfill(
     loads: &[f64],
     total: f64,
 ) -> Allocation {
-    assert!(!caps.is_empty(), "need at least one section");
-    assert_eq!(caps.len(), loads.len(), "caps/loads length mismatch");
     assert!(
         total >= 0.0 && total.is_finite(),
         "total must be non-negative"
     );
-    assert!(
-        cost.supports_waterfilling(),
-        "water-filling needs a strictly convex cost"
-    );
+    WaterLevels::new(cost, caps, loads).allocate(total)
+}
 
-    let mu_at = |c: usize, x: f64| cost.z_prime(x, caps[c]);
-    let mu_lo = (0..caps.len())
-        .map(|c| mu_at(c, loads[c]))
-        .fold(f64::INFINITY, f64::min);
-    if total == 0.0 {
-        return Allocation {
-            shares: vec![0.0; caps.len()],
-            marginal: mu_lo,
-        };
-    }
-    let mu_hi = (0..caps.len())
-        .map(|c| mu_at(c, loads[c] + total))
-        .fold(0.0f64, f64::max);
+/// One section's share of the water-filling total as a function of the
+/// level `μ`: zero up to `start`, then rising at `below` per unit of `μ` up
+/// to `knee`, then at `past`. The rates are `1/Z''` on each piece of `Z'`.
+#[derive(Debug, Clone, Copy)]
+struct Piece {
+    start: f64,
+    knee: f64,
+    below: f64,
+    past: f64,
+}
 
-    // x_c(μ): the load at which section c's marginal cost reaches μ,
-    // clamped to [load_c, load_c + total]. Uses the closed-form Z'⁻¹ when
-    // the cost admits one, falling back to bisection.
-    let x_of_mu = |c: usize, mu: f64| -> f64 {
-        if mu_at(c, loads[c]) >= mu {
-            return loads[c];
-        }
-        if let Some(x) = cost.z_prime_inverse(mu, caps[c]) {
-            return x.clamp(loads[c], loads[c] + total);
-        }
-        let (mut lo, mut hi) = (loads[c], loads[c] + total);
-        for _ in 0..BISECT_ITERS {
-            let mid = 0.5 * (lo + hi);
-            if mu_at(c, mid) < mu {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    };
-    let allocated = |mu: f64| -> f64 { (0..caps.len()).map(|c| x_of_mu(c, mu) - loads[c]).sum() };
-
-    let (mut lo, mut hi) = (mu_lo, mu_hi);
-    for _ in 0..BISECT_ITERS {
-        let mid = 0.5 * (lo + hi);
-        if allocated(mid) < total {
-            lo = mid;
+impl Piece {
+    fn share(&self, mu: f64) -> f64 {
+        if mu <= self.start {
+            0.0
+        } else if mu <= self.knee {
+            (mu - self.start) * self.below
         } else {
-            hi = mid;
+            (self.knee - self.start) * self.below + (mu - self.knee) * self.past
         }
-    }
-    let mu = 0.5 * (lo + hi);
-    let mut shares: Vec<f64> = (0..caps.len()).map(|c| x_of_mu(c, mu) - loads[c]).collect();
-    renormalize(&mut shares, total);
-    Allocation {
-        shares,
-        marginal: mu,
     }
 }
 
-/// The total the water-filling grid hands out at marginal price `μ`:
-/// `A(μ) = Σ_c [x_c(μ) − load_c]⁺` with `Z'(x_c(μ)) = μ` — the inverse of
-/// the [`marginal_waterfill`] level search, evaluated through the closed-form
-/// `Z'⁻¹`. Returns `None` when the cost has no closed-form inverse (the
-/// linear baseline), in which case callers fall back to solving in
-/// total-request space.
-///
-/// `A` is non-decreasing in `μ`, which is what makes the best response's
-/// first-order condition solvable by a *single* bisection in `μ` (see
-/// [`crate::best_response()`]) instead of a bisection whose every probe runs a
-/// full water-filling level search.
-#[must_use]
-pub fn demand_at_marginal(cost: &SectionCost, caps: &[f64], loads: &[f64], mu: f64) -> Option<f64> {
-    let mut total = 0.0;
-    for (&cap, &load) in caps.iter().zip(loads) {
-        if cost.z_prime(load, cap) >= mu {
-            continue; // this section is already at or above the price level
-        }
-        let x = cost.z_prime_inverse(mu, cap)?;
-        total += (x - load).max(0.0);
+/// A breakpoint of `A`: its price, `A` there, and the slope of `A` up to
+/// the next breakpoint.
+#[derive(Debug, Clone, Copy)]
+struct Breakpoint {
+    price: f64,
+    total: f64,
+    slope: f64,
+}
+
+/// One affine piece of `A`: `A(μ) = total + slope · (μ − lo)` on
+/// `[lo, hi]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Segment {
+    /// Where the piece starts.
+    pub(crate) lo: f64,
+    /// Where it ends.
+    pub(crate) hi: f64,
+    /// `A(lo)`.
+    total: f64,
+    /// `dA/dμ` on the piece.
+    slope: f64,
+}
+
+impl Segment {
+    /// `A(μ)` on this piece.
+    pub(crate) fn total_at(&self, mu: f64) -> f64 {
+        self.total + self.slope * (mu - self.lo)
     }
-    Some(total)
+}
+
+/// The water-filling grid's response to one OLEV against fixed loads
+/// `P_{-n,c}`: the piecewise-linear `A(μ) = Σ_c [x_c(μ) − P_{-n,c}]⁺`, kept
+/// as its sorted breakpoints with `A` and its slope at each.
+///
+/// Building it costs one O(C log C) sort; [`WaterLevels::level`] then
+/// inverts `A` exactly, and the best response finds its first-order root
+/// on the same table ([`WaterLevels::crossing`]).
+#[derive(Debug)]
+pub(crate) struct WaterLevels {
+    pieces: Vec<Piece>,
+    breakpoints: Vec<Breakpoint>,
+}
+
+impl WaterLevels {
+    /// The level structure of a strictly convex cost over sections of
+    /// capacities `caps` carrying `loads`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on empty inputs, mismatched lengths, or a cost without strict
+    /// convexity.
+    pub(crate) fn new(cost: &SectionCost, caps: &[f64], loads: &[f64]) -> Self {
+        assert!(!caps.is_empty(), "need at least one section");
+        assert_eq!(caps.len(), loads.len(), "caps/loads length mismatch");
+        let pieces = caps
+            .iter()
+            .zip(loads)
+            .map(|(&cap, &load)| {
+                let (below, past) = cost
+                    .z_prime_slopes(cap)
+                    .expect("water-filling needs a strictly convex cost");
+                let start = cost.z_prime(load, cap);
+                let knee = cost.z_prime(cost.knee(cap), cap);
+                if start < knee {
+                    Piece {
+                        start,
+                        knee,
+                        below: 1.0 / below,
+                        past: 1.0 / past,
+                    }
+                } else {
+                    // Already at or past the knee: one piece of Z' is left.
+                    Piece {
+                        start,
+                        knee: start,
+                        below: 1.0 / past,
+                        past: 1.0 / past,
+                    }
+                }
+            })
+            .collect();
+        Self::from_pieces(pieces)
+    }
+
+    /// Sorts the pieces' breakpoints and sweeps `A` and its slope across
+    /// them.
+    fn from_pieces(pieces: Vec<Piece>) -> Self {
+        let mut breakpoints = Vec::with_capacity(2 * pieces.len());
+        for p in &pieces {
+            // Until the sweep below, `slope` holds the change of slope.
+            breakpoints.push(Breakpoint {
+                price: p.start,
+                total: 0.0,
+                slope: p.below,
+            });
+            if p.past != p.below {
+                breakpoints.push(Breakpoint {
+                    price: p.knee,
+                    total: 0.0,
+                    slope: p.past - p.below,
+                });
+            }
+        }
+        breakpoints.sort_unstable_by(|a, b| a.price.total_cmp(&b.price));
+        let (mut total, mut slope, mut price) = (0.0, 0.0, breakpoints[0].price);
+        for b in &mut breakpoints {
+            total += slope * (b.price - price);
+            slope += b.slope;
+            price = b.price;
+            b.total = total;
+            b.slope = slope;
+        }
+        Self {
+            pieces,
+            breakpoints,
+        }
+    }
+
+    /// `Ψ'(0)`: the cheapest section's current marginal cost, below which
+    /// the grid hands out nothing.
+    pub(crate) fn floor(&self) -> f64 {
+        self.breakpoints[0].price
+    }
+
+    /// The level `μ` with `A(μ) = total`: `A` is strictly increasing above
+    /// [`WaterLevels::floor`], so the affine piece that brackets `total`
+    /// inverts exactly. A zero total sits at the floor.
+    pub(crate) fn level(&self, total: f64) -> f64 {
+        let k = self.breakpoints.partition_point(|b| b.total <= total);
+        let b = self.breakpoints[k.saturating_sub(1)];
+        b.price + (total - b.total) / b.slope
+    }
+
+    /// The piece of `A` on which the strictly decreasing `g(μ, A(μ))`
+    /// changes sign below `cap`, found by testing `g` at the breakpoints.
+    /// Expects `g > 0` at the floor and `g ≤ 0` at `cap`.
+    pub(crate) fn crossing(&self, cap: f64, g: impl Fn(f64, f64) -> f64) -> Segment {
+        let below = self.breakpoints.partition_point(|b| b.price < cap);
+        let k = self.breakpoints[..below]
+            .partition_point(|b| g(b.price, b.total) > 0.0)
+            .saturating_sub(1);
+        let b = self.breakpoints[k];
+        Segment {
+            lo: b.price,
+            hi: self
+                .breakpoints
+                .get(k + 1)
+                .map_or(cap, |next| next.price.min(cap)),
+            total: b.total,
+            slope: b.slope,
+        }
+    }
+
+    /// The grid's schedule at level `mu`, scaled to sum to exactly `total`
+    /// (the level's rounding would otherwise accumulate over thousands of
+    /// updates).
+    pub(crate) fn allocation(&self, mu: f64, total: f64) -> Allocation {
+        let mut shares: Vec<f64> = self.pieces.iter().map(|p| p.share(mu)).collect();
+        renormalize(&mut shares, total);
+        Allocation {
+            shares,
+            marginal: mu,
+        }
+    }
+
+    /// The grid's schedule for `total`: [`WaterLevels::allocation`] at
+    /// [`WaterLevels::level`].
+    pub(crate) fn allocate(&self, total: f64) -> Allocation {
+        self.allocation(self.level(total), total)
+    }
 }
 
 /// Greedy sequential filling for the linear baseline: fill each section in
@@ -245,8 +364,7 @@ pub fn greedy_fill(cost: &SectionCost, caps: &[f64], loads: &[f64], total: f64) 
     Allocation { shares, marginal }
 }
 
-/// Scales shares so they sum to exactly `total` (bisection leaves ~1e-12
-/// residue that would otherwise accumulate over thousands of updates).
+/// Scales shares so they sum to exactly `total`.
 fn renormalize(shares: &mut [f64], total: f64) {
     let sum: f64 = shares.iter().sum();
     if sum > 0.0 && total > 0.0 {
@@ -360,6 +478,35 @@ mod tests {
         // Bigger sections absorb more at equal marginal cost.
         assert!(a.shares[2] > a.shares[1]);
         assert!(a.shares[1] > a.shares[0]);
+    }
+
+    #[test]
+    fn demand_curve_bends_at_activation_and_knee_prices() {
+        // One idle section: A is zero up to Z'(0), rises at 1/Z'' below the
+        // knee, and at the flatter 1/(Z'' + 2κ) past it.
+        let cost = nl_cost();
+        let levels = WaterLevels::new(&cost, &[60.0], &[0.0]);
+        let (below, past) = cost.z_prime_slopes(60.0).unwrap();
+        let knee_price = cost.z_prime(54.0, 60.0);
+        assert_eq!(levels.floor(), cost.z_prime(0.0, 60.0));
+        assert_eq!(levels.level(0.0), levels.floor());
+        assert!((levels.level(54.0) - knee_price).abs() < 1e-12);
+        assert!((levels.level(54.0 - 1.0) - (knee_price - below)).abs() < 1e-12);
+        assert!((levels.level(54.0 + 1.0) - (knee_price + past)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn crossing_brackets_the_sign_change() {
+        let cost = nl_cost();
+        let levels = WaterLevels::new(&cost, &[40.0, 80.0, 120.0], &[30.0, 0.0, 100.0]);
+        let target = 75.0;
+        let cap = levels.level(500.0);
+        let piece = levels.crossing(cap, |_, a| target - a);
+        assert!(piece.lo < piece.hi && piece.hi <= cap);
+        assert!(piece.total_at(piece.lo) <= target && piece.total_at(piece.hi) >= target);
+        let level = levels.level(target);
+        assert!(piece.lo <= level && level <= piece.hi);
+        assert!((piece.total_at(level) - target).abs() < 1e-9);
     }
 
     #[test]

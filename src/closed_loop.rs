@@ -71,6 +71,11 @@ pub struct ClosedLoopStats {
     pub peak_players: usize,
     /// Highest per-section congestion degree any replan scheduled.
     pub peak_congestion: f64,
+    /// Best-response updates the replans' games ran, summed.
+    pub game_updates: usize,
+    /// Replans whose game hit its update cap before converging; their
+    /// allocation still stands.
+    pub unconverged_replans: usize,
 }
 
 /// The closed-loop co-simulation.
@@ -307,12 +312,16 @@ impl ClosedLoop {
             builder = builder.olevs(1, Kilowatts::new(*p_max));
         }
         let mut game = builder.build()?;
-        game.run(
+        let outcome = game.run(
             UpdateOrder::Random {
                 seed: self.config.seed.wrapping_add(self.stats.replans as u64),
             },
             20_000,
         )?;
+        self.stats.game_updates += outcome.updates();
+        if !outcome.converged() {
+            self.stats.unconverged_replans += 1;
+        }
         let mut fresh = BTreeMap::new();
         for (n, (id, _)) in players.iter().enumerate() {
             fresh.insert(*id, game.schedule().olev_total(OlevId(n)));
@@ -452,6 +461,39 @@ mod tests {
             "prev_speed leaks: {}",
             cl.prev_speed.len()
         );
+    }
+
+    #[test]
+    fn replans_count_their_game_updates() {
+        let mut cl = closed_loop(0.8, 0.9);
+        let mut games = 0;
+        for _ in 0..900 {
+            let before = cl.stats();
+            cl.step().unwrap();
+            let after = cl.stats();
+            if after.replans == before.replans {
+                assert_eq!(after.game_updates, before.game_updates);
+                continue;
+            }
+            let players = cl
+                .fleet
+                .values()
+                .filter(|olev| olev.receivable_power().value() > 1e-9)
+                .count();
+            let updates = after.game_updates - before.game_updates;
+            if players == 0 {
+                assert_eq!(updates, 0, "no game, no updates");
+            } else {
+                // Random-order convergence takes a calm streak of 4N.
+                games += 1;
+                assert!(
+                    updates >= 4 * players,
+                    "{updates} updates, {players} players"
+                );
+            }
+        }
+        assert!(games > 0, "no replan played a game");
+        assert_eq!(cl.stats().unconverged_replans, 0);
     }
 
     #[test]

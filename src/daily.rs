@@ -78,6 +78,11 @@ pub struct HourOutcome {
     pub energy_mwh: f64,
     /// Grid revenue this hour, $.
     pub revenue: f64,
+    /// Best-response updates the hour's game ran (zero without OLEVs).
+    pub updates: usize,
+    /// Whether the hour's game converged within its update cap; an hour
+    /// without OLEVs plays no game and counts as converged.
+    pub converged: bool,
 }
 
 /// The full day: per-hour outcomes plus the grid day before and after the
@@ -150,6 +155,8 @@ pub fn run_day(config: &DailyConfig) -> Result<DailyReport, oes_game::GameError>
                 unit_payment: 0.0,
                 energy_mwh: 0.0,
                 revenue: 0.0,
+                updates: 0,
+                converged: true,
             });
             continue;
         }
@@ -165,7 +172,7 @@ pub fn run_day(config: &DailyConfig) -> Result<DailyReport, oes_game::GameError>
             )))
             .eta(config.eta)
             .build()?;
-        game.run(
+        let outcome = game.run(
             UpdateOrder::Random {
                 seed: config.seed.wrapping_add(hour as u64),
             },
@@ -183,6 +190,8 @@ pub fn run_day(config: &DailyConfig) -> Result<DailyReport, oes_game::GameError>
             unit_payment: game.unit_payment_dollars_per_mwh(),
             energy_mwh,
             revenue: game.total_payment(),
+            updates: outcome.updates(),
+            converged: outcome.converged(),
         });
     }
     let grid_with_olevs = overlay_ev_load(&grid_base, &ev_hourly_mwh, &operator_config);
@@ -240,6 +249,21 @@ mod tests {
         assert!(
             report.grid_with_olevs.max_abs_deficiency() >= report.grid_base.max_abs_deficiency()
         );
+    }
+
+    #[test]
+    fn hours_report_their_game_convergence() {
+        let report = run_day(&small_config()).unwrap();
+        for h in &report.hours {
+            assert!(h.converged, "hour {} did not converge", h.hour);
+            if h.olevs == 0 {
+                assert_eq!(h.updates, 0, "hour {} played no game", h.hour);
+            } else {
+                // Random-order convergence takes a calm streak of 4N.
+                assert!(h.updates >= 4 * h.olevs, "hour {}: {h:?}", h.hour);
+            }
+        }
+        assert!(report.hours.iter().any(|h| h.updates > 0));
     }
 
     #[test]

@@ -133,3 +133,33 @@ fn more_olevs_need_more_updates() {
     let (u10, u40) = (updates(10), updates(40));
     assert!(u40 > u10, "N=40 took {u40} vs N=10 {u10}");
 }
+
+#[test]
+fn random_order_polls_every_olev_before_declaring_convergence() {
+    // Regression: with random polling, a calm streak of 4N updates used to
+    // declare convergence even when one OLEV had never been drawn, leaving
+    // it at zero power. Seed 10076 does exactly that on this game: the four
+    // polled OLEVs settle and are redrawn 4N times before the fifth comes up.
+    let build = || {
+        GameBuilder::new()
+            .sections(50, Kilowatts::new(60.0))
+            .olevs_weighted(5, Kilowatts::new(80.0), 1.0)
+            .build()
+            .unwrap()
+    };
+    let mut game = build();
+    let out = game
+        .run(UpdateOrder::Random { seed: 10_076 }, 30_000)
+        .unwrap();
+    assert!(out.converged());
+    for n in 0..game.olev_count() {
+        let total = game.schedule().olev_total(oes::units::OlevId(n));
+        assert!(total > 0.0, "OLEV {n} never drew power");
+    }
+    let central = solve_centralized(&build(), 20_000).welfare;
+    assert!(
+        (central - game.welfare()).abs() <= 1e-6 * central.abs(),
+        "engine {} vs centralized {central}",
+        game.welfare()
+    );
+}
