@@ -1,11 +1,10 @@
 //! Telemetry overhead gate: the aggregator must stay cheap on the hot loop.
 //!
-//! The [`AggregatingRecorder`](oes_telemetry::AggregatingRecorder) is
-//! designed to sit inside a live service permanently — sharded atomic
-//! counters, fixed-bucket histograms, no allocation per event — so turning
-//! it on must not meaningfully slow the engine. This bench pins that
-//! claim: it times a production-size C = 100, N = 20 engine corridor with
-//! a [`NoopRecorder`](oes_telemetry::NoopRecorder) and with a live
+//! The [`AggregatingRecorder`] is designed to sit inside a live service
+//! permanently — sharded atomic counters, fixed-bucket histograms, no
+//! allocation per event — so turning it on must not meaningfully slow the
+//! engine. This bench pins that claim: it times a production-size C = 100,
+//! N = 20 engine corridor with a [`NoopRecorder`] and with a live
 //! aggregator, *interleaved* (noop, aggregating, noop, …) so drift in CPU
 //! frequency or background load hits both sides equally, takes the best
 //! trial of each, and reports the fractional overhead.

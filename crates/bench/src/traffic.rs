@@ -543,7 +543,7 @@ fn raw_measured_steps(fleet: usize) -> usize {
 ///
 /// Each engine warms its own twin from t = 0 — the σ = 0 fleet makes
 /// the two warm-ups bit-identical, so both reach the same steady state
-/// ([`CORRIDOR_SETTLE_STEPS`] of demand-driven fill, one full
+/// (`CORRIDOR_SETTLE_STEPS` of demand-driven fill, one full
 /// traversal) and run the same measured ticks. The timed region excludes the event
 /// engine's [`EventSimulation::flush`]; the digest is taken over the
 /// flushed end state after timing, where the twins must agree exactly.

@@ -3,98 +3,57 @@
 //! [`crate::engine::Game::run`] simulates the asynchronous protocol inside
 //! one thread. This module runs it for real: every OLEV is a worker thread
 //! holding its satisfaction function *privately* (the grid never sees it —
-//! the paper's key informational constraint), and the grid coordinator talks
-//! to workers over channels carrying the [`oes_wpt::v2i`] vocabulary. Per
-//! update the grid sends a [`GridMessage::PaymentFunction`] offer — the
-//! other OLEVs' aggregate loads `P_{-n,c}`, which define Ψ_n (Eq. 20) — and
-//! receives back an [`OlevMessage::PowerRequest`] best response, which it
-//! schedules by Lemma IV.1 exactly as the in-process engine does. Both paths
-//! must agree; the test suite asserts it.
+//! the paper's key informational constraint). Per update the grid sends a
+//! [`GridMessage::PaymentFunction`] offer — the other OLEVs' loads
+//! `P_{-n,c}`, which define Ψ_n (Eq. 20) — and schedules the
+//! [`OlevMessage::PowerRequest`] best response by Lemma IV.1, exactly as
+//! the in-process engine does.
 //!
-//! # Fault tolerance
+//! The grid side is the sans-IO [`SessionCoordinator`], which `oes-service`
+//! drives over sockets: offers, deadlines, retries, duplicate/stale discard,
+//! reply validation, eviction and the convergence quorum have one
+//! implementation. [`DistributedGame`] only moves frames — offers out
+//! through [`LossyLink`]s, worker messages back through one blocking
+//! `recv()` — and tallies what only the channel sees: drops, stalls,
+//! hello/goodbye totals, per-update `game.*` gauges. A worker that panics
+//! sends its panic payload as its last message.
 //!
-//! Theorem IV.1 proves convergence under bounded asynchrony, so the runtime
-//! is built to *survive* the network the paper assumes: every offer rides a
-//! sequence-numbered [`V2iFrame`] over a [`LossyLink`], carries a per-offer
-//! deadline with a bounded retry budget and exponential backoff, and replies
-//! are validated (finite, non-negative, clamped to `P_OLEV`) and applied
-//! idempotently — duplicates and late/stale replies are discarded by
-//! sequence number. Workers announce themselves with `Hello`, are told their
-//! settled price with `PaymentUpdate`, and sign off with `Goodbye`; a worker
-//! that crashes (panic payload captured), stalls past its retry budget, or
-//! departs mid-game is evicted gracefully: its schedule row is zeroed and
-//! the convergence quorum shrinks to the survivors. Everything the network
-//! did is tallied in the [`DegradationReport`] attached to the
-//! [`Outcome`].
+//! # Virtual time
 //!
-//! Injected faults come from a seeded [`FaultPlan`], and the coordinator
-//! *virtualizes* their latency: it knows which transmissions its own plan
-//! dropped, delayed past the deadline, or stalled, so it retries those
-//! immediately instead of sleeping through the timeout. With a reachable
-//! worker behind every awaited reply, a fault-injected run is as fast as a
-//! clean one, and — for the single-outstanding-offer runtime
-//! ([`DistributedGame`]) — bit-deterministic under the plan's seed: the same
-//! seed yields the same trajectory, the same report, the same equilibrium.
-//! (With `window > 1`, reply *arrival order* across OLEVs depends on thread
-//! scheduling — the equilibrium is still the same, per Theorem IV.1.)
+//! No decision reads the wall clock. A seeded [`FaultPlan`] is a pure
+//! function of each transmission, so the driver knows at send time which
+//! ones will never be answered: a drop, a stall, a delay past the offer's
+//! deadline, and the frame that reaches a worker's crash point (found by
+//! counting the non-stalled offer copies the worker was sent). Each is
+//! expired at its deadline on a virtual clock, then retried or, past the
+//! retry budget, evicted; an offer to a crashed worker evicts it with its
+//! panic payload. Every other offer is waited for, however slow the worker,
+//! so with one outstanding offer a run is bit-deterministic under the plan's
+//! seed: the same trajectory, [`DegradationReport`](crate::DegradationReport)
+//! and equilibrium. (With a [`DistributedGame::window`] above 1, reply
+//! *arrival order* across OLEVs depends on thread scheduling — the
+//! equilibrium is still the same, per Theorem IV.1.)
 
-use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
-use oes_telemetry::{Clock, MonotonicClock, Telemetry};
+use oes_telemetry::Telemetry;
 use oes_units::{Kilowatts, MetersPerSecond, OlevId, StateOfCharge};
 use oes_wpt::v2i::{GridMessage, OlevMessage, V2iFrame};
 
 use crate::best_response::best_response;
-use crate::engine::{Game, Outcome, Snapshot};
+use crate::engine::{Game, Outcome};
 use crate::error::GameError;
-use crate::faults::{DegradationReport, Eviction, EvictionReason, FaultPlan, LossyLink};
+use crate::faults::{EvictionReason, FaultPlan, LinkVerdict, LossyLink};
 use crate::payment::Scheduler;
 use crate::pricing::SectionCost;
 use crate::satisfaction::Satisfaction;
-use crate::state::ScheduleState;
+use crate::session::{
+    OutboundOffer, ReplyDisposition, SessionConfig, SessionCoordinator, NET_NAMES,
+};
 
-/// Consecutive invalid replies from one OLEV before it is evicted as
-/// misbehaving (fault-injected runs only).
-const MAX_INVALID_REPLIES: u32 = 4;
-
-/// The panic message worker `olev` left on the board, if it died. A worker
-/// that panicked while holding the slot poisons it; the message inside is
-/// still the one to report.
-fn panic_note(board: &[Mutex<Option<String>>], olev: usize) -> Option<String> {
-    board[olev]
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-}
-
-/// Shared knobs of the hardened coordinator.
-#[derive(Debug, Clone)]
-struct RuntimeConfig {
-    plan: Option<FaultPlan>,
-    offer_timeout: Duration,
-    retry_budget: u32,
-    clock: Arc<dyn Clock>,
-    telemetry: Telemetry,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        Self {
-            plan: None,
-            offer_timeout: Duration::from_millis(250),
-            retry_budget: 6,
-            clock: Arc::new(MonotonicClock::new()),
-            telemetry: Telemetry::disabled(),
-        }
-    }
-}
-
-/// Runs a [`Game`] on the thread-per-OLEV runtime with one outstanding
-/// offer at a time.
+/// Runs a [`Game`] on the thread-per-OLEV runtime.
 ///
 /// # Examples
 ///
@@ -116,15 +75,20 @@ impl Default for RuntimeConfig {
 #[derive(Debug)]
 pub struct DistributedGame<'g> {
     game: &'g mut Game,
-    config: RuntimeConfig,
+    config: SessionConfig,
+    plan: Option<FaultPlan>,
+    telemetry: Telemetry,
 }
 
 impl<'g> DistributedGame<'g> {
-    /// Wraps a game for distributed execution.
+    /// Wraps a game for distributed execution with one outstanding offer at
+    /// a time.
     pub fn new(game: &'g mut Game) -> Self {
         Self {
             game,
-            config: RuntimeConfig::default(),
+            config: SessionConfig::default(),
+            plan: None,
+            telemetry: Telemetry::disabled(),
         }
     }
 
@@ -133,11 +97,13 @@ impl<'g> DistributedGame<'g> {
     /// the run.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.config.plan = Some(plan);
+        self.plan = Some(plan);
         self
     }
 
-    /// Sets the base per-offer deadline (doubled per retry, capped at 32×).
+    /// Sets the base per-offer deadline (doubled per retry, capped at 32×)
+    /// on the virtual clock. It decides which injected delays make a reply
+    /// late; it never times out a worker that is merely slow.
     #[must_use]
     pub fn offer_timeout(mut self, timeout: Duration) -> Self {
         self.config.offer_timeout = timeout;
@@ -152,20 +118,28 @@ impl<'g> DistributedGame<'g> {
         self
     }
 
-    /// Replaces the deadline clock (default: a monotonic wall clock). A
-    /// [`oes_telemetry::ManualClock`] makes offer deadlines fully virtual —
-    /// they only expire when the test advances time.
-    #[must_use]
-    pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.config.clock = clock;
-        self
-    }
-
-    /// Attaches a telemetry handle; the coordinator emits `net.*` counters,
+    /// Attaches a telemetry handle; the runtime emits `net.*` counters,
     /// per-update `game.*` gauges, and `grid.apply` spans into it.
     #[must_use]
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.config.telemetry = telemetry;
+        self.telemetry = telemetry;
+        self
+    }
+
+    /// Keeps up to `window` offers outstanding at once (1, the default, is
+    /// the fully synchronous protocol). An OLEV's best response is then
+    /// computed against loads up to `window − 1` updates stale — real V2I
+    /// latency, modeled. Theorem IV.1's asynchronous convergence claim
+    /// covers exactly this regime (bounded staleness), and the tests
+    /// confirm the same optimum is reached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    #[must_use]
+    pub fn window(mut self, window: usize) -> Self {
+        assert!(window > 0, "need at least one outstanding offer");
+        self.config.window = window;
         self
     }
 
@@ -174,832 +148,369 @@ impl<'g> DistributedGame<'g> {
     ///
     /// # Errors
     ///
-    /// Without a fault plan: [`GameError::WorkerFailed`] (panic payload
-    /// included) if a worker dies, [`GameError::Timeout`] if one stops
-    /// answering, [`GameError::InvalidReply`] / [`GameError::ProtocolViolation`]
-    /// if one answers garbage. With a fault plan those become evictions, and
-    /// only [`GameError::OlevEvicted`] remains — returned when *every* OLEV
-    /// has been evicted.
+    /// Without a fault plan the first fault ends the run:
+    /// [`GameError::WorkerFailed`] (panic payload included) if a worker
+    /// dies, [`GameError::InvalidReply`] if one answers garbage. With a fault
+    /// plan those become evictions, and only [`GameError::OlevEvicted`]
+    /// remains — returned when *every* OLEV has been evicted.
     pub fn run(self, max_updates: usize) -> Result<Outcome, GameError> {
-        run_hardened(self.game, 1, &self.config, max_updates)
-    }
-}
+        let n_olevs = self.game.olev_count();
+        let cost = self.game.cost;
+        let scheduler = self.game.scheduler;
+        let caps = self.game.caps.clone();
+        let p_max = self.game.p_max.clone();
+        let config = SessionConfig {
+            window: self.config.window.min(n_olevs),
+            max_updates,
+            ..self.config
+        };
+        let plan = self.plan.as_ref();
+        let core = SessionCoordinator::new(self.game, config, self.telemetry.clone())
+            .with_names(&NET_NAMES);
+        let satisfactions = core.satisfactions();
+        let (reply_tx, inbox) = channel();
 
-/// A pipelined variant: the grid keeps up to `window` offers outstanding at
-/// once, so an OLEV's best response is computed against loads that may be up
-/// to `window − 1` updates stale — real V2I latency, modeled. Theorem IV.1's
-/// asynchronous convergence claim covers exactly this regime (bounded
-/// staleness), and the tests confirm the same optimum is reached.
-#[derive(Debug)]
-pub struct StaleDistributedGame<'g> {
-    game: &'g mut Game,
-    window: usize,
-    config: RuntimeConfig,
-}
-
-impl<'g> StaleDistributedGame<'g> {
-    /// Wraps a game; `window` is the number of concurrently outstanding
-    /// offers (1 = the fully synchronous protocol).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(game: &'g mut Game, window: usize) -> Self {
-        assert!(window > 0, "need at least one outstanding offer");
-        Self {
-            game,
-            window,
-            config: RuntimeConfig::default(),
-        }
-    }
-
-    /// Injects the given fault plan (see [`DistributedGame::with_faults`]).
-    #[must_use]
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.config.plan = Some(plan);
-        self
-    }
-
-    /// Sets the base per-offer deadline (doubled per retry, capped at 32×).
-    #[must_use]
-    pub fn offer_timeout(mut self, timeout: Duration) -> Self {
-        self.config.offer_timeout = timeout;
-        self
-    }
-
-    /// Sets how many times one offer is retransmitted before the OLEV is
-    /// given up on.
-    #[must_use]
-    pub fn retry_budget(mut self, budget: u32) -> Self {
-        self.config.retry_budget = budget;
-        self
-    }
-
-    /// Replaces the deadline clock (see [`DistributedGame::clock`]).
-    #[must_use]
-    pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.config.clock = clock;
-        self
-    }
-
-    /// Attaches a telemetry handle (see [`DistributedGame::telemetry`]).
-    #[must_use]
-    pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.config.telemetry = telemetry;
-        self
-    }
-
-    /// Runs round-robin best responses with pipelined (stale) offers.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DistributedGame::run`].
-    pub fn run(self, max_updates: usize) -> Result<Outcome, GameError> {
-        run_hardened(self.game, self.window, &self.config, max_updates)
-    }
-}
-
-/// One in-flight transmission the coordinator still expects an answer to.
-#[derive(Debug)]
-struct PendingOffer {
-    olev: usize,
-    /// Retransmission count of the logical offer this transmission serves.
-    attempt: u32,
-    /// Invalid replies received for the logical offer so far.
-    invalids: u32,
-    /// Expiry instant in coordinator-clock microseconds.
-    deadline_us: u64,
-}
-
-/// What processing one protocol event amounted to.
-enum Event {
-    /// A reply was accepted and applied; convergence bookkeeping ran.
-    Applied,
-    /// Something else happened (retry, eviction, passive bookkeeping).
-    Housekeeping,
-}
-
-enum DispatchResult {
-    /// The offer is in flight with a live deadline.
-    InFlight,
-    /// The OLEV was evicted while trying to reach it.
-    Evicted,
-}
-
-struct Coordinator<'a> {
-    cost: SectionCost,
-    scheduler: Scheduler,
-    caps: &'a [f64],
-    p_max: &'a [f64],
-    tolerance: f64,
-    satisfactions: &'a [Box<dyn Satisfaction>],
-    state: &'a mut ScheduleState,
-    /// Reusable `P_{-n,c}` buffer for dispatch/apply, so the per-offer and
-    /// per-apply paths do not allocate.
-    scratch_loads: Vec<f64>,
-    links: Vec<Option<LossyLink<'a, V2iFrame<GridMessage>>>>,
-    reply_rx: Receiver<V2iFrame<OlevMessage>>,
-    board: &'a [Mutex<Option<String>>],
-    plan: Option<&'a FaultPlan>,
-    offer_timeout: Duration,
-    retry_budget: u32,
-    clock: &'a Arc<dyn Clock>,
-    telemetry: &'a Telemetry,
-    window: usize,
-
-    alive: Vec<bool>,
-    live: usize,
-    last_evicted: usize,
-    pending: BTreeMap<u64, PendingOffer>,
-    abandoned: HashSet<u64>,
-    accepted: HashSet<u64>,
-    next_seq: u64,
-    cursor: usize,
-    issued: usize,
-    updates: usize,
-    calm_streak: usize,
-    converged: bool,
-    trajectory: Vec<Snapshot>,
-    report: DegradationReport,
-}
-
-impl<'a> Coordinator<'a> {
-    fn n_olevs(&self) -> usize {
-        self.p_max.len()
-    }
-
-    /// The deadline for transmission `attempt` (exponential backoff).
-    fn timeout_for(&self, attempt: u32) -> Duration {
-        self.offer_timeout * 2u32.pow(attempt.min(5))
-    }
-
-    /// [`Self::timeout_for`] in clock microseconds.
-    fn timeout_for_us(&self, attempt: u32) -> u64 {
-        u64::try_from(self.timeout_for(attempt).as_micros()).unwrap_or(u64::MAX)
-    }
-
-    /// Reads the panic payload a worker may have left behind. Used right
-    /// after observing a closed channel or an expired deadline; the short
-    /// grace loop lets a thread that is still unwinding finish writing.
-    fn harvest_panic(&self, olev: usize) -> Option<String> {
-        for _ in 0..200 {
-            if let Some(msg) = panic_note(self.board, olev) {
-                return Some(msg);
-            }
-            std::thread::sleep(Duration::from_micros(500));
-        }
-        None
-    }
-
-    fn worker_failed(&self, olev: usize) -> GameError {
-        match self.harvest_panic(olev) {
-            Some(msg) => GameError::WorkerFailed(format!("olev {olev} panicked: {msg}")),
-            None => GameError::WorkerFailed(format!("olev {olev} closed its offer channel")),
-        }
-    }
-
-    /// Evicts an OLEV: zeroes its row, abandons its in-flight offers,
-    /// closes its link (the worker will say `Goodbye`), and shrinks the
-    /// convergence quorum.
-    fn evict(&mut self, olev: usize, reason: EvictionReason) {
-        if !self.alive[olev] {
-            return;
-        }
-        self.alive[olev] = false;
-        self.live -= 1;
-        self.last_evicted = olev;
-        self.state.apply_row(
-            OlevId(olev),
-            &vec![0.0; self.caps.len()],
-            self.satisfactions,
-            &self.cost,
-            self.caps,
-        );
-        let in_flight: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.olev == olev)
-            .map(|(s, _)| *s)
-            .collect();
-        for seq in in_flight {
-            self.pending.remove(&seq);
-            self.abandoned.insert(seq);
-        }
-        self.links[olev] = None;
-        self.calm_streak = 0;
-        self.telemetry.counter("net.eviction", olev as i64, 1);
-        self.report.evictions.push(Eviction {
-            olev,
-            at_update: self.updates,
-            reason,
-        });
-    }
-
-    /// The next live OLEV in round-robin order. Precondition: `live > 0`.
-    fn next_live(&mut self) -> usize {
-        while !self.alive[self.cursor] {
-            self.cursor = (self.cursor + 1) % self.n_olevs();
-        }
-        let pick = self.cursor;
-        self.cursor = (self.cursor + 1) % self.n_olevs();
-        pick
-    }
-
-    /// Transmits (and, on known-futile verdicts, immediately retransmits) a
-    /// logical offer to `olev` until it is genuinely in flight, the retry
-    /// budget runs out, or the worker proves dead.
-    ///
-    /// Drops, deadline-exceeding delays, and stalls are all known to the
-    /// coordinator at send time (it injected them), so their timeouts are
-    /// *virtual*: counted, never waited for.
-    fn dispatch(
-        &mut self,
-        olev: usize,
-        start_attempt: u32,
-        invalids: u32,
-    ) -> Result<DispatchResult, GameError> {
-        let mut attempt = start_attempt;
-        loop {
-            if attempt > self.retry_budget {
-                return if self.plan.is_some() {
-                    let reason = match self.harvest_panic(olev) {
-                        Some(msg) => EvictionReason::Crashed(msg),
-                        None => EvictionReason::Unresponsive,
-                    };
-                    self.evict(olev, reason);
-                    Ok(DispatchResult::Evicted)
-                } else {
-                    Err(self.timeout_error(olev))
+        std::thread::scope(|scope| {
+            let mut links = Vec::with_capacity(n_olevs);
+            for (n, sat) in satisfactions.iter().enumerate() {
+                let (offer_tx, offer_rx) = channel();
+                links.push(Some(LossyLink::new(offer_tx, n, plan)));
+                let worker = Worker {
+                    n,
+                    sat: sat.as_ref(),
+                    cost,
+                    caps: &caps,
+                    p_max: p_max[n],
+                    scheduler,
+                    plan,
                 };
+                let replies = reply_tx.clone();
+                scope.spawn(move || worker.run(&offer_rx, &replies));
             }
-            if attempt > 0 {
-                self.report.retries += 1;
-                self.telemetry.counter("net.retry", olev as i64, 1);
-            }
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.state
-                .loads_excluding_into(OlevId(olev), &mut self.scratch_loads);
-            let loads_excl: Vec<Kilowatts> = self
-                .scratch_loads
-                .iter()
-                .copied()
-                .map(Kilowatts::new)
-                .collect();
-            let frame = V2iFrame::new(
-                seq,
-                GridMessage::PaymentFunction {
-                    id: OlevId(olev),
-                    loads_excl,
-                },
-            );
-            self.report.offers_sent += 1;
-            self.telemetry.counter("net.offer", olev as i64, 1);
-            let link = self.links[olev].as_ref().expect("live OLEV has a link");
-            let verdict = match link.send(seq, attempt, frame) {
-                Ok(verdict) => verdict,
-                Err(_) => {
-                    // The worker is gone. With fault tolerance on, that is
-                    // an eviction; without, it aborts the run.
-                    return if self.plan.is_some() {
-                        let reason = match self.harvest_panic(olev) {
-                            Some(msg) => EvictionReason::Crashed(msg),
-                            None => EvictionReason::Unresponsive,
-                        };
-                        self.evict(olev, reason);
-                        Ok(DispatchResult::Evicted)
-                    } else {
-                        Err(self.worker_failed(olev))
-                    };
-                }
+            drop(reply_tx);
+            let mut driver = Driver {
+                core,
+                links,
+                inbox,
+                plan,
+                telemetry: &self.telemetry,
+                now_us: 0,
+                outbox: Vec::new(),
+                updates_out: Vec::new(),
+                delivered: vec![0; n_olevs],
+                doomed: vec![false; n_olevs],
+                deaths: vec![None; n_olevs],
+                closed: 0,
             };
-            if verdict.dropped {
-                self.report.drops += 1;
-                self.report.timeouts += 1;
-                self.telemetry.counter("net.drop", olev as i64, 1);
-                self.telemetry.counter("net.timeout", olev as i64, 1);
-                attempt += 1;
-                continue;
-            }
-            let stalled = self.plan.is_some_and(|p| p.worker_stalls(olev, seq));
-            if stalled {
-                // The worker will swallow this frame; no reply is coming.
-                self.report.timeouts += 1;
-                self.telemetry.counter("net.stall", olev as i64, 1);
-                self.telemetry.counter("net.timeout", olev as i64, 1);
-                attempt += 1;
-                continue;
-            }
-            if u128::from(verdict.delay_ms) > self.timeout_for(attempt).as_millis() {
-                // The frame will arrive after we stop listening for it: the
-                // reply is already stale by construction.
-                self.abandoned.insert(seq);
-                self.report.timeouts += 1;
-                self.telemetry.counter("net.timeout", olev as i64, 1);
-                attempt += 1;
-                continue;
-            }
-            self.pending.insert(
-                seq,
-                PendingOffer {
-                    olev,
-                    attempt,
-                    invalids,
-                    deadline_us: self
-                        .clock
-                        .now_micros()
-                        .saturating_add(self.timeout_for_us(attempt)),
-                },
-            );
-            return Ok(DispatchResult::InFlight);
-        }
+            let result = driver.run();
+            result.and(driver.finish())
+        })
     }
+}
 
-    fn timeout_error(&self, olev: usize) -> GameError {
-        let waited: u128 = (0..=self.retry_budget)
-            .map(|a| self.timeout_for(a).as_millis())
-            .sum();
-        GameError::Timeout {
-            olev,
-            waited_ms: waited.min(u128::from(u64::MAX)) as u64,
-        }
-    }
+/// What a worker thread tells the grid.
+enum Inbound {
+    Frame(V2iFrame<OlevMessage>),
+    /// The worker panicked; its payload is the last thing it sends.
+    Died(usize, String),
+}
 
-    /// Handles every pending offer whose deadline has passed: retry, evict,
-    /// or (without fault tolerance) abort.
-    fn handle_expirations(&mut self) -> Result<(), GameError> {
-        let now_us = self.clock.now_micros();
-        let expired: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline_us <= now_us)
-            .map(|(s, _)| *s)
-            .collect();
-        for seq in expired {
-            let p = self.pending.remove(&seq).expect("collected above");
-            self.abandoned.insert(seq);
-            self.report.timeouts += 1;
-            self.telemetry.counter("net.timeout", p.olev as i64, 1);
-            if let Some(msg) = panic_note(self.board, p.olev) {
-                // The worker died mid-offer; no amount of retrying helps.
-                if self.plan.is_some() {
-                    self.evict(p.olev, EvictionReason::Crashed(msg));
-                    continue;
-                }
-                return Err(GameError::WorkerFailed(format!(
-                    "olev {} panicked: {msg}",
-                    p.olev
-                )));
-            }
-            self.dispatch(p.olev, p.attempt + 1, p.invalids)?;
-        }
-        Ok(())
-    }
+/// The grid side of the runtime: the session core plus the channels.
+struct Driver<'a, 'g> {
+    core: SessionCoordinator<'g>,
+    links: Vec<Option<LossyLink<'a, V2iFrame<GridMessage>>>>,
+    inbox: Receiver<Inbound>,
+    plan: Option<&'a FaultPlan>,
+    telemetry: &'a Telemetry,
+    /// The virtual clock, advanced only to the deadline of an offer the
+    /// plan made futile.
+    now_us: u64,
+    outbox: Vec<OutboundOffer>,
+    updates_out: Vec<(usize, V2iFrame<GridMessage>)>,
+    /// Non-stalled offer copies sent to each worker: its replies so far, the
+    /// count its crash point is measured in.
+    delivered: Vec<usize>,
+    /// Workers that were sent the frame reaching their crash point.
+    doomed: Vec<bool>,
+    /// Panic payloads received, per worker.
+    deaths: Vec<Option<String>>,
+    /// Evictions whose links are already closed.
+    closed: usize,
+}
 
-    /// Validates a reply total against the "no trust in the worker" rules.
-    fn validate(total: f64) -> Result<(), String> {
-        if !total.is_finite() {
-            return Err(format!("total {total} is not finite"));
-        }
-        if total < 0.0 {
-            return Err(format!("total {total} is negative"));
-        }
-        Ok(())
-    }
-
-    /// Applies an accepted best response exactly as the in-process engine
-    /// does: cost-minimal allocation against the fresh loads, then the
-    /// convergence bookkeeping of Theorem IV.1.
-    fn apply(&mut self, olev: usize, seq: u64, total: f64) {
-        let span = self.telemetry.span("grid.apply", olev as i64);
-        let id = OlevId(olev);
-        self.state.loads_excluding_into(id, &mut self.scratch_loads);
-        let allocation = self
-            .scheduler
-            .allocate(&self.cost, self.caps, &self.scratch_loads, total);
-        let before = self.state.schedule().olev_total(id);
-        self.state.apply_row(
-            id,
-            &allocation.shares,
-            self.satisfactions,
-            &self.cost,
-            self.caps,
-        );
-        let change = (total - before).abs();
-        self.updates += 1;
-        let snapshot = Snapshot {
-            update: self.updates,
-            congestion: self.state.schedule().system_congestion(self.caps),
-            welfare: self.state.welfare(),
-            change,
-        };
-        drop(span);
-        let key = self.updates as i64;
-        self.telemetry.gauge("game.welfare", key, snapshot.welfare);
-        self.telemetry
-            .gauge("game.congestion", key, snapshot.congestion);
-        self.telemetry.gauge("game.change", key, snapshot.change);
-        self.trajectory.push(snapshot);
-        if change < self.tolerance {
-            self.calm_streak += 1;
-        } else {
-            self.calm_streak = 0;
-        }
-        let extra = if self.window == 1 { 0 } else { self.window };
-        if self.calm_streak >= self.live + extra {
-            self.converged = true;
-            self.telemetry.counter("game.converged", -1, 1);
-        }
-        // Close the loop: tell the OLEV what it got and at what marginal
-        // price. Fire-and-forget — a lost PaymentUpdate costs nothing.
-        if let Some(link) = &self.links[olev] {
-            let allocated = Kilowatts::new(self.state.schedule().olev_total(id));
-            let update = GridMessage::PaymentUpdate {
-                id,
-                marginal_price: allocation.marginal,
-                allocated,
-            };
-            let _ = link.send(seq, 0, V2iFrame::new(seq, update));
-        }
-    }
-
-    /// Classifies and processes one incoming frame.
-    fn process(&mut self, frame: V2iFrame<OlevMessage>) -> Result<Event, GameError> {
-        let (id, total) = match frame.payload {
-            OlevMessage::Hello { .. } => {
-                self.report.hellos += 1;
-                return Ok(Event::Housekeeping);
-            }
-            OlevMessage::Goodbye { .. } => {
-                self.report.goodbyes += 1;
-                return Ok(Event::Housekeeping);
-            }
-            OlevMessage::PowerRequest { id, total } => (id, total.value()),
-        };
-        let seq = frame.seq;
-        if self.accepted.contains(&seq) {
-            self.report.duplicates += 1;
-            self.telemetry.counter("net.duplicate", id.0 as i64, 1);
-            return Ok(Event::Housekeeping);
-        }
-        if self.abandoned.contains(&seq) {
-            self.report.stale += 1;
-            self.telemetry.counter("net.stale", id.0 as i64, 1);
-            return Ok(Event::Housekeeping);
-        }
-        let Some(p) = self.pending.get(&seq) else {
-            // A reply to an offer that was never outstanding. Without fault
-            // injection this is a protocol violation; with it, the network
-            // could have manufactured it, so it is discarded as stale.
-            if self.plan.is_none() {
-                let expected = self.pending.values().next().map_or(usize::MAX, |p| p.olev);
-                return Err(GameError::ProtocolViolation {
-                    expected,
-                    got: id.0,
-                });
-            }
-            self.report.stale += 1;
-            return Ok(Event::Housekeeping);
-        };
-        let (olev, attempt, invalids) = (p.olev, p.attempt, p.invalids);
-        let fault = if id.0 != olev {
-            // The reply answers this offer but claims another identity —
-            // applying it would corrupt OLEV `id`'s row.
-            if self.plan.is_none() {
-                return Err(GameError::ProtocolViolation {
-                    expected: olev,
-                    got: id.0,
-                });
-            }
-            Some(format!(
-                "reply claims OLEV {} for OLEV {olev}'s offer",
-                id.0
-            ))
-        } else {
-            Self::validate(total).err()
-        };
-        if let Some(reason) = fault {
-            self.pending.remove(&seq);
-            self.abandoned.insert(seq);
-            self.report.invalid_replies += 1;
-            self.telemetry.counter("net.invalid_reply", olev as i64, 1);
-            if self.plan.is_none() {
-                return Err(GameError::InvalidReply { olev, reason });
-            }
-            if invalids + 1 >= MAX_INVALID_REPLIES {
-                self.evict(olev, EvictionReason::Misbehaving);
-            } else {
-                self.dispatch(olev, attempt + 1, invalids + 1)?;
-            }
-            return Ok(Event::Housekeeping);
-        }
-        // Accept. Clamp an over-ask to the OLEV's physical bound P_OLEV
-        // (Eq. 2) — the grid never schedules more than the vehicle can take.
-        let bound = self.p_max[olev];
-        let total = if total > bound {
-            if total > bound + 1e-9 {
-                self.report.clamped_replies += 1;
-                self.telemetry.counter("net.clamped_reply", olev as i64, 1);
-            }
-            bound
-        } else {
-            total
-        };
-        self.pending.remove(&seq);
-        self.accepted.insert(seq);
-        self.apply(olev, seq, total);
-        Ok(Event::Applied)
-    }
-
-    /// Waits for and processes protocol events until one reply is applied,
-    /// a retry/eviction changes the in-flight picture, or the run dies.
-    fn pump(&mut self) -> Result<(), GameError> {
-        loop {
-            let Some(nearest) = self.pending.values().map(|p| p.deadline_us).min() else {
-                return Ok(());
-            };
-            let wait = Duration::from_micros(nearest.saturating_sub(self.clock.now_micros()));
-            match self.reply_rx.recv_timeout(wait) {
-                Ok(frame) => match self.process(frame)? {
-                    Event::Applied => return Ok(()),
-                    Event::Housekeeping => {
-                        if self.pending.is_empty() {
-                            return Ok(());
-                        }
-                    }
-                },
-                Err(RecvTimeoutError::Timeout) => {
-                    self.handle_expirations()?;
-                    if self.pending.is_empty() {
-                        return Ok(());
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    let mut failures = Vec::new();
-                    for olev in 0..self.n_olevs() {
-                        if let Some(msg) = panic_note(self.board, olev) {
-                            failures.push(format!("olev {olev} panicked: {msg}"));
-                        }
-                    }
-                    if failures.is_empty() {
-                        failures.push("every worker closed its reply channel".to_owned());
-                    }
-                    return Err(GameError::WorkerFailed(failures.join("; ")));
-                }
-            }
-        }
-    }
-
-    /// The coordinator main loop.
-    fn run(&mut self, max_updates: usize) -> Result<(), GameError> {
+impl Driver<'_, '_> {
+    /// The main loop: departures, fresh offers, then one worker message at
+    /// a time until the core is done.
+    fn run(&mut self) -> Result<(), GameError> {
         loop {
             if let Some(plan) = self.plan {
-                for olev in plan.departures_at(self.updates) {
-                    if olev < self.n_olevs() && self.alive[olev] {
-                        self.evict(olev, EvictionReason::Departed);
-                    }
+                for olev in plan.departures_at(self.core.updates()) {
+                    self.core.evict(olev, EvictionReason::Departed);
                 }
             }
-            if self.live == 0 {
-                return Err(GameError::OlevEvicted(self.last_evicted));
-            }
-            if self.converged || self.updates >= max_updates {
+            if self.core.done() {
                 return Ok(());
             }
-            let window = self.window.min(self.live);
-            while self.pending.len() < window && self.issued < max_updates && self.live > 0 {
-                let olev = self.next_live();
-                if let DispatchResult::InFlight = self.dispatch(olev, 0, 0)? {
-                    self.issued += 1;
-                }
+            self.core.pump(self.now_us, &mut self.outbox);
+            self.flush()?;
+            if self.core.in_flight() > 0 {
+                self.handle(self.recv()?)?;
+                self.flush()?;
             }
-            if self.pending.is_empty() {
-                // Nothing in flight and nothing left to issue (all evicted
-                // or the issue budget is spent): the run is over.
-                if self.live == 0 {
-                    return Err(GameError::OlevEvicted(self.last_evicted));
-                }
-                return Ok(());
-            }
-            self.pump()?;
         }
     }
 
-    /// Closes every link and drains the reply channel to completion, so the
-    /// counters are totals over the whole run rather than a race with the
-    /// workers' last words.
-    fn finish(&mut self) {
-        let leftover: Vec<u64> = self.pending.keys().copied().collect();
-        for seq in leftover {
-            self.pending.remove(&seq);
-            self.abandoned.insert(seq);
-        }
-        for link in &mut self.links {
-            *link = None;
-        }
-        while let Ok(frame) = self.reply_rx.recv() {
-            match frame.payload {
-                OlevMessage::Hello { .. } => self.report.hellos += 1,
-                OlevMessage::Goodbye { .. } => self.report.goodbyes += 1,
-                OlevMessage::PowerRequest { .. } => {
-                    if self.accepted.contains(&frame.seq) {
-                        self.report.duplicates += 1;
-                    } else {
-                        self.report.stale += 1;
-                    }
+    /// Sends what the core queued — payment updates, offers, and the
+    /// retries of offers expired on the way — then closes the links of
+    /// evicted OLEVs, which tells their workers to sign off.
+    fn flush(&mut self) -> Result<(), GameError> {
+        loop {
+            for (olev, update) in self.updates_out.drain(..) {
+                if let Some(link) = &self.links[olev] {
+                    // Fire-and-forget: a lost PaymentUpdate costs nothing.
+                    let _ = link.send(update.seq, 0, update);
                 }
+            }
+            let offers = std::mem::take(&mut self.outbox);
+            if offers.is_empty() {
+                break;
+            }
+            for offer in offers {
+                self.transmit(offer)?;
+            }
+        }
+        let evictions = &self.core.report().evictions;
+        for eviction in &evictions[self.closed..] {
+            self.links[eviction.olev] = None;
+        }
+        self.closed = evictions.len();
+        Ok(())
+    }
+
+    /// Puts one offer on its lossy link. An offer the plan makes futile is
+    /// expired at its deadline on the virtual clock; any other is answered.
+    fn transmit(&mut self, offer: OutboundOffer) -> Result<(), GameError> {
+        let (olev, seq) = (offer.olev, offer.seq);
+        if !self.core.alive(olev) {
+            // Evicted after this offer was queued; the core abandoned it.
+            return Ok(());
+        }
+        let link = self.links[olev].as_ref().expect("a live OLEV has a link");
+        // A send fails only into a worker that already died, and its death
+        // notice is then on the way.
+        let verdict = link
+            .send(seq, offer.attempt, offer.frame)
+            .unwrap_or(LinkVerdict::CLEAN);
+        let Some(plan) = self.plan else {
+            return Ok(());
+        };
+        let stalled = plan.worker_stalls(olev, seq);
+        let crash_point = plan.crash_point(olev);
+        let mut answered = false;
+        for _ in 0..verdict.copies() {
+            if self.doomed[olev] {
+                break;
+            }
+            if crash_point.is_some_and(|k| self.delivered[olev] >= k) {
+                self.doomed[olev] = true;
+            } else if !stalled {
+                self.delivered[olev] += 1;
+                answered = true;
+            }
+        }
+        if verdict.dropped {
+            self.core.report_mut().drops += 1;
+            self.telemetry.counter("net.drop", olev as i64, 1);
+        } else if stalled {
+            self.telemetry.counter("net.stall", olev as i64, 1);
+        }
+        let late = verdict.delay_ms.saturating_mul(1000) > offer.budget_us;
+        if answered && !late {
+            return Ok(());
+        }
+        self.now_us = self.now_us.max(offer.deadline_us);
+        // A worker sent its crash frame is dead: wait for its payload,
+        // handling whatever arrives first, and evict it instead of retrying.
+        while self.doomed[olev] && self.deaths[olev].is_none() {
+            self.handle(self.recv()?)?;
+        }
+        let crash = self.deaths[olev].clone();
+        self.core
+            .expire_offer(seq, self.now_us, crash, &mut self.outbox);
+        Ok(())
+    }
+
+    fn recv(&self) -> Result<Inbound, GameError> {
+        self.inbox.recv().map_err(|_| {
+            GameError::WorkerFailed("every worker closed its reply channel".to_owned())
+        })
+    }
+
+    /// Feeds one worker frame to the core, or records a worker's death.
+    fn handle(&mut self, msg: Inbound) -> Result<(), GameError> {
+        let frame = match msg {
+            Inbound::Frame(frame) => frame,
+            Inbound::Died(olev, payload) => {
+                if self.plan.is_none() {
+                    return Err(GameError::WorkerFailed(format!(
+                        "olev {olev} panicked: {payload}"
+                    )));
+                }
+                if !self.doomed[olev] {
+                    // A panic the plan did not schedule: nothing will answer
+                    // this worker's offers, so it goes now.
+                    self.core
+                        .evict(olev, EvictionReason::Crashed(payload.clone()));
+                }
+                self.deaths[olev] = Some(payload);
+                return Ok(());
+            }
+        };
+        let was_converged = self.core.converged();
+        let disposition =
+            self.core
+                .on_message(frame, self.now_us, &mut self.outbox, &mut self.updates_out);
+        match disposition {
+            ReplyDisposition::Applied => {
+                if let Some(snapshot) = self.core.last_snapshot() {
+                    let key = snapshot.update as i64;
+                    self.telemetry.gauge("game.welfare", key, snapshot.welfare);
+                    self.telemetry
+                        .gauge("game.congestion", key, snapshot.congestion);
+                    self.telemetry.gauge("game.change", key, snapshot.change);
+                }
+                if !was_converged && self.core.converged() {
+                    self.telemetry.counter("game.converged", -1, 1);
+                }
+            }
+            ReplyDisposition::Invalid { olev, reason } if self.plan.is_none() => {
+                return Err(GameError::InvalidReply { olev, reason });
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Closes every link and drains the inbox until every worker has signed
+    /// off, so the counters are totals over the whole run rather than a race
+    /// with the workers' last words.
+    fn finish(mut self) -> Result<Outcome, GameError> {
+        self.core.abandon_in_flight();
+        self.core.drain();
+        self.links.clear();
+        while let Ok(msg) = self.inbox.recv() {
+            if let Inbound::Frame(frame) = msg {
+                self.core
+                    .on_message(frame, self.now_us, &mut self.outbox, &mut self.updates_out);
             }
         }
         // Hello/Goodbye frames arrive racily from worker threads, so they
         // are journaled only here, as run-level totals after the drain —
         // never inline, which would break byte-identical same-seed journals.
+        let report = self.core.report();
         self.telemetry
-            .counter("net.hello", -1, self.report.hellos as u64);
+            .counter("net.hello", -1, report.hellos as u64);
         self.telemetry
-            .counter("net.goodbye", -1, self.report.goodbyes as u64);
+            .counter("net.goodbye", -1, report.goodbyes as u64);
         self.telemetry
-            .gauge("game.updates", -1, self.updates as f64);
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(msg) = payload.downcast_ref::<&str>() {
-        (*msg).to_owned()
-    } else if let Some(msg) = payload.downcast_ref::<String>() {
-        msg.clone()
-    } else {
-        "non-string panic payload".to_owned()
+            .gauge("game.updates", -1, self.core.updates() as f64);
+        self.core.finish()
     }
 }
 
 /// The worker side of the protocol: a vehicle holding its satisfaction
 /// privately, answering payment-function offers with best responses.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
+struct Worker<'a> {
     n: usize,
-    offer_rx: &Receiver<V2iFrame<GridMessage>>,
-    reply_tx: &Sender<V2iFrame<OlevMessage>>,
-    sat: &dyn Satisfaction,
-    cost: &SectionCost,
-    caps: &[f64],
-    p_max_n: f64,
+    sat: &'a dyn Satisfaction,
+    cost: SectionCost,
+    caps: &'a [f64],
+    p_max: f64,
     scheduler: Scheduler,
-    plan: Option<&FaultPlan>,
-) {
-    let crash_at = plan.and_then(|p| p.crash_point(n));
-    let mut replies_sent = 0usize;
-    while let Ok(frame) = offer_rx.recv() {
-        let GridMessage::PaymentFunction { id: _, loads_excl } = frame.payload else {
-            // LaneInfo / PaymentUpdate are informational on this side.
-            continue;
+    plan: Option<&'a FaultPlan>,
+}
+
+impl Worker<'_> {
+    /// The worker thread: `Hello`, offers answered until the link closes,
+    /// then `Goodbye` — or, if it panicked, the panic payload.
+    fn run(&self, offers: &Receiver<V2iFrame<GridMessage>>, replies: &Sender<Inbound>) {
+        // The paper's bring-up handshake. The runtime is detached from the
+        // traffic substrate, so kinematics are nominal.
+        let hello = OlevMessage::Hello {
+            id: OlevId(self.n),
+            velocity: MetersPerSecond::new(0.0),
+            soc: StateOfCharge::EMPTY,
+            soc_required: StateOfCharge::FULL,
         };
-        if let Some(k) = crash_at {
-            if replies_sent >= k {
+        let _ = replies.send(Inbound::Frame(V2iFrame::new(0, hello)));
+        let last_word = match catch_unwind(AssertUnwindSafe(|| self.answer(offers, replies))) {
+            Ok(()) => Inbound::Frame(V2iFrame::new(
+                0,
+                OlevMessage::Goodbye { id: OlevId(self.n) },
+            )),
+            Err(payload) => Inbound::Died(self.n, panic_message(payload)),
+        };
+        let _ = replies.send(last_word);
+    }
+
+    fn answer(&self, offers: &Receiver<V2iFrame<GridMessage>>, replies: &Sender<Inbound>) {
+        let n = self.n;
+        let crash_point = self.plan.and_then(|p| p.crash_point(n));
+        let mut replies_sent = 0usize;
+        while let Ok(frame) = offers.recv() {
+            let GridMessage::PaymentFunction { loads_excl, .. } = frame.payload else {
+                // LaneInfo / PaymentUpdate are informational on this side.
+                continue;
+            };
+            if crash_point.is_some_and(|k| replies_sent >= k) {
                 panic!("fault plan crashed OLEV {n} after {replies_sent} replies");
             }
+            if self.plan.is_some_and(|p| p.worker_stalls(n, frame.seq)) {
+                continue;
+            }
+            let loads: Vec<f64> = loads_excl.iter().map(|kw| kw.value()).collect();
+            let br = best_response(
+                self.sat,
+                &self.cost,
+                self.caps,
+                &loads,
+                self.p_max,
+                self.scheduler,
+            );
+            let total = self
+                .plan
+                .and_then(|p| p.corrupted_total(n, frame.seq))
+                .unwrap_or(br.total);
+            let reply = OlevMessage::PowerRequest {
+                id: OlevId(n),
+                total: Kilowatts::new(total),
+            };
+            if replies
+                .send(Inbound::Frame(V2iFrame::new(frame.seq, reply)))
+                .is_err()
+            {
+                break;
+            }
+            replies_sent += 1;
         }
-        if plan.is_some_and(|p| p.worker_stalls(n, frame.seq)) {
-            continue;
-        }
-        let loads: Vec<f64> = loads_excl.iter().map(|kw| kw.value()).collect();
-        let br = best_response(sat, cost, caps, &loads, p_max_n, scheduler);
-        let total = plan
-            .and_then(|p| p.corrupted_total(n, frame.seq))
-            .unwrap_or(br.total);
-        let reply = OlevMessage::PowerRequest {
-            id: OlevId(n),
-            total: Kilowatts::new(total),
-        };
-        if reply_tx.send(V2iFrame::new(frame.seq, reply)).is_err() {
-            break;
-        }
-        replies_sent += 1;
     }
 }
 
-/// The unified hardened runtime behind both [`DistributedGame`] and
-/// [`StaleDistributedGame`].
-fn run_hardened(
-    game: &mut Game,
-    window: usize,
-    config: &RuntimeConfig,
-    max_updates: usize,
-) -> Result<Outcome, GameError> {
-    let n_olevs = game.olev_count();
-    let window = window.min(n_olevs);
-    let cost = game.cost;
-    let scheduler = game.scheduler;
-    let caps = game.caps.clone();
-    let p_max = game.p_max.clone();
-    let tolerance = game.tolerance;
-    let plan = config.plan.as_ref();
-
-    let (reply_tx, reply_rx): (
-        Sender<V2iFrame<OlevMessage>>,
-        Receiver<V2iFrame<OlevMessage>>,
-    ) = channel();
-    let mut offer_txs: Vec<Sender<V2iFrame<GridMessage>>> = Vec::with_capacity(n_olevs);
-    let mut offer_rxs: Vec<Receiver<V2iFrame<GridMessage>>> = Vec::with_capacity(n_olevs);
-    for _ in 0..n_olevs {
-        let (tx, rx) = channel();
-        offer_txs.push(tx);
-        offer_rxs.push(rx);
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload.downcast_ref::<&str>().map_or_else(
+            || "non-string panic payload".to_owned(),
+            |msg| (*msg).to_owned(),
+        ),
     }
-    // One slot per worker for a captured panic payload, shared by borrow.
-    let board: Vec<Mutex<Option<String>>> = (0..n_olevs).map(|_| Mutex::new(None)).collect();
-
-    let satisfactions = &game.satisfactions;
-    let state = &mut game.state;
-    let caps_ref = &caps;
-    let board_ref = &board;
-
-    std::thread::scope(|scope| -> Result<Outcome, GameError> {
-        for (n, offer_rx) in offer_rxs.into_iter().enumerate() {
-            let reply_tx = reply_tx.clone();
-            let sat = satisfactions[n].as_ref();
-            let p_max_n = p_max[n];
-            scope.spawn(move || {
-                // The paper's bring-up handshake. The runtime is detached
-                // from the traffic substrate, so kinematics are nominal.
-                let hello = OlevMessage::Hello {
-                    id: OlevId(n),
-                    velocity: MetersPerSecond::new(0.0),
-                    soc: StateOfCharge::EMPTY,
-                    soc_required: StateOfCharge::FULL,
-                };
-                let _ = reply_tx.send(V2iFrame::new(0, hello));
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    worker_loop(
-                        n, &offer_rx, &reply_tx, sat, &cost, caps_ref, p_max_n, scheduler, plan,
-                    );
-                }));
-                match outcome {
-                    Ok(()) => {
-                        let _ =
-                            reply_tx.send(V2iFrame::new(0, OlevMessage::Goodbye { id: OlevId(n) }));
-                    }
-                    Err(payload) => {
-                        *board_ref[n].lock().unwrap_or_else(PoisonError::into_inner) =
-                            Some(panic_message(payload));
-                    }
-                }
-            });
-        }
-        drop(reply_tx);
-
-        let mut coordinator = Coordinator {
-            cost,
-            scheduler,
-            caps: caps_ref,
-            p_max: &p_max,
-            tolerance,
-            satisfactions,
-            state,
-            scratch_loads: Vec::with_capacity(caps_ref.len()),
-            links: offer_txs
-                .into_iter()
-                .enumerate()
-                .map(|(n, tx)| Some(LossyLink::new(tx, n, plan)))
-                .collect(),
-            reply_rx,
-            board: board_ref,
-            plan,
-            offer_timeout: config.offer_timeout,
-            retry_budget: config.retry_budget,
-            clock: &config.clock,
-            telemetry: &config.telemetry,
-            window,
-            alive: vec![true; n_olevs],
-            live: n_olevs,
-            last_evicted: 0,
-            pending: BTreeMap::new(),
-            abandoned: HashSet::new(),
-            accepted: HashSet::new(),
-            next_seq: 1,
-            cursor: 0,
-            issued: 0,
-            updates: 0,
-            calm_streak: 0,
-            converged: false,
-            trajectory: Vec::new(),
-            report: DegradationReport::default(),
-        };
-        let result = coordinator.run(max_updates);
-        coordinator.finish();
-        let outcome = Outcome {
-            converged: coordinator.converged,
-            updates: coordinator.updates,
-            trajectory: std::mem::take(&mut coordinator.trajectory),
-            degradation: std::mem::take(&mut coordinator.report),
-            end_welfare: coordinator.state.welfare(),
-        };
-        result.map(|()| outcome)
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::builder::GameBuilder;
     use crate::engine::UpdateOrder;
     use oes_units::Kilowatts;
@@ -1053,7 +564,10 @@ mod tests {
         reference.run(UpdateOrder::RoundRobin, 2000).unwrap();
         for window in [1usize, 2, 4] {
             let mut g = build();
-            let out = StaleDistributedGame::new(&mut g, window).run(5000).unwrap();
+            let out = DistributedGame::new(&mut g)
+                .window(window)
+                .run(5000)
+                .unwrap();
             assert!(out.converged(), "window {window} did not converge");
             assert!(
                 (g.welfare() - reference.welfare()).abs() < 1e-6,
@@ -1072,7 +586,8 @@ mod tests {
             .unwrap()
             .updates();
         let mut stale_game = build();
-        let stale_out = StaleDistributedGame::new(&mut stale_game, 4)
+        let stale_out = DistributedGame::new(&mut stale_game)
+            .window(4)
             .run(5000)
             .unwrap();
         assert!(stale_out.converged());
@@ -1085,7 +600,7 @@ mod tests {
     #[should_panic(expected = "at least one outstanding offer")]
     fn zero_window_panics() {
         let mut g = build();
-        let _ = StaleDistributedGame::new(&mut g, 0);
+        let _ = DistributedGame::new(&mut g).window(0);
     }
 
     #[test]
@@ -1102,23 +617,6 @@ mod tests {
         let p0 = g.schedule().olev_total(oes_units::OlevId(0));
         let p4 = g.schedule().olev_total(oes_units::OlevId(4));
         assert!(p0 > p4, "eager {p0} vs lukewarm {p4}");
-    }
-
-    #[test]
-    fn frozen_manual_clock_never_expires_deadlines() {
-        // With a frozen virtual clock every deadline sits in the future
-        // forever; a clean run must still converge purely on replies, with
-        // zero timeouts — which proves the deadline logic runs on the
-        // injected clock, not the wall.
-        use oes_telemetry::ManualClock;
-        let mut g = build();
-        let out = DistributedGame::new(&mut g)
-            .clock(Arc::new(ManualClock::new()))
-            .run(1000)
-            .unwrap();
-        assert!(out.converged());
-        assert_eq!(out.degradation().timeouts, 0);
-        assert!(out.degradation().is_clean());
     }
 
     #[test]

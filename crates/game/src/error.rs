@@ -25,29 +25,12 @@ pub enum GameError {
     /// The distributed engine lost a worker thread. If the worker panicked,
     /// the captured panic payload is included in the message.
     WorkerFailed(String),
-    /// An offer's deadline expired with no usable reply (and, in a run
-    /// without fault tolerance, no retry budget to spend).
-    Timeout {
-        /// The OLEV that failed to answer.
-        olev: usize,
-        /// How long the coordinator waited, in milliseconds.
-        waited_ms: u64,
-    },
     /// A worker's reply failed validation (non-finite or negative total).
     InvalidReply {
         /// The offending OLEV.
         olev: usize,
         /// What was wrong with the reply.
         reason: String,
-    },
-    /// A reply violated the offer/reply protocol — e.g. it answered an offer
-    /// that was never outstanding. Applying it would corrupt another OLEV's
-    /// schedule row, so the run aborts instead.
-    ProtocolViolation {
-        /// The OLEV the coordinator was waiting on.
-        expected: usize,
-        /// The OLEV the reply claimed to be from.
-        got: usize,
     },
     /// Every OLEV was evicted; the value is the last one removed. A game
     /// with no live players has no welfare to optimize.
@@ -81,17 +64,8 @@ impl fmt::Display for GameError {
             }
             Self::UnknownOlev(n) => write!(f, "unknown OLEV index {n}"),
             Self::WorkerFailed(msg) => write!(f, "distributed worker failed: {msg}"),
-            Self::Timeout { olev, waited_ms } => {
-                write!(f, "OLEV {olev} timed out after {waited_ms} ms")
-            }
             Self::InvalidReply { olev, reason } => {
                 write!(f, "invalid reply from OLEV {olev}: {reason}")
-            }
-            Self::ProtocolViolation { expected, got } => {
-                write!(
-                    f,
-                    "protocol violation: expected reply from OLEV {expected}, got OLEV {got}"
-                )
             }
             Self::OlevEvicted(n) => {
                 write!(
@@ -131,26 +105,12 @@ mod tests {
 
     #[test]
     fn display_covers_resilience_variants() {
-        let t = GameError::Timeout {
-            olev: 2,
-            waited_ms: 250,
-        };
-        assert!(t.to_string().contains("OLEV 2"));
-        assert!(t.to_string().contains("250 ms"));
-
         let i = GameError::InvalidReply {
             olev: 1,
             reason: "total is NaN".into(),
         };
         assert!(i.to_string().contains("OLEV 1"));
         assert!(i.to_string().contains("NaN"));
-
-        let p = GameError::ProtocolViolation {
-            expected: 0,
-            got: 3,
-        };
-        assert!(p.to_string().contains("expected reply from OLEV 0"));
-        assert!(p.to_string().contains("got OLEV 3"));
 
         let e = GameError::OlevEvicted(4);
         assert!(e.to_string().contains("OLEV 4"));

@@ -1,4 +1,5 @@
-//! Deterministic fault injection for the decentralized runtime.
+//! Deterministic fault injection for the decentralized runtime, and the
+//! eviction accounting every engine shares.
 //!
 //! The paper's protocol runs over wireless V2I links (IEEE 802.11p / LTE) to
 //! vehicles moving at 60–80 mph: messages get dropped, delayed, reordered,
@@ -15,12 +16,21 @@
 //! suite's bit-determinism assertion possible.
 //!
 //! [`LossyLink`] wraps a std [`Sender`] and applies the plan's uplink
-//! verdicts; [`DegradationReport`] is the accounting the hardened coordinator
-//! attaches to every [`crate::Outcome`].
+//! verdicts. Because the plan is a pure function, the sender also *knows*
+//! which transmissions are futile — dropped, stalled, delayed past their
+//! deadline, or delivered to a worker past its crash point — and
+//! [`crate::DistributedGame`] expires those at their deadline on a virtual
+//! clock instead of waiting for them. [`DegradationReport`] is the
+//! accounting attached to every [`crate::Outcome`].
 
 use std::sync::mpsc::{SendError, Sender};
 
 use oes_units::rng::{splitmix64, ChaCha8Rng};
+use oes_units::OlevId;
+
+use crate::pricing::SectionCost;
+use crate::satisfaction::Satisfaction;
+use crate::state::ScheduleState;
 
 /// Fault-domain tags keeping the per-event ChaCha streams disjoint.
 const DOMAIN_UPLINK: u64 = 0x01;
@@ -276,10 +286,10 @@ impl FaultPlan {
 ///
 /// Delay is *virtualized*: a delayed frame is still forwarded immediately
 /// (workers process it whenever they get to it), and the verdict tells the
-/// coordinator whether the delay exceeded its deadline, i.e. whether it
-/// should treat the frame as late and move on. This keeps injected latency
-/// out of wall-clock time, which is what makes chaos runs fast *and*
-/// deterministic.
+/// sender whether the delay exceeded the offer's deadline, i.e. whether to
+/// expire the offer and treat its reply as late. This keeps injected
+/// latency out of wall-clock time, which is what makes chaos runs fast
+/// *and* deterministic.
 #[derive(Debug)]
 pub struct LossyLink<'p, M> {
     tx: Sender<M>,
@@ -316,7 +326,7 @@ impl<'p, M: Clone> LossyLink<'p, M> {
     }
 }
 
-/// Why the coordinator evicted an OLEV from a running game.
+/// Why an OLEV was evicted from a running game.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EvictionReason {
     /// The per-offer deadline expired through the whole retry budget.
@@ -352,8 +362,8 @@ pub struct Eviction {
     pub reason: EvictionReason,
 }
 
-/// The hardened coordinator's accounting of everything the network did to
-/// it, attached to every [`crate::Outcome`].
+/// The accounting of everything the network did to a run, attached to
+/// every [`crate::Outcome`].
 ///
 /// A fault-free run over reliable links reports [`Self::is_clean`].
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -439,6 +449,22 @@ impl DegradationReport {
         self.evictions.extend(other.evictions.iter().cloned());
         self.evictions.sort_by_key(|e| e.at_update);
     }
+}
+
+/// Evicts an OLEV from the schedule: zeroes its row, so its welfare term
+/// drops to `U(0) = 0`, and records the eviction. The one eviction
+/// primitive the session coordinator and the parallel engine share.
+pub(crate) fn evict_row(
+    state: &mut ScheduleState,
+    satisfactions: &[Box<dyn Satisfaction>],
+    cost: &SectionCost,
+    caps: &[f64],
+    report: &mut DegradationReport,
+    eviction: Eviction,
+) {
+    let zero_row = vec![0.0; caps.len()];
+    state.apply_row(OlevId(eviction.olev), &zero_row, satisfactions, cost, caps);
+    report.evictions.push(eviction);
 }
 
 #[cfg(test)]

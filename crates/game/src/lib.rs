@@ -89,7 +89,7 @@ pub use analysis::{compare_regimes, ComparisonScenario, RegimeOutcome, WelfareCo
 pub use best_response::best_response;
 pub use builder::{GameBuilder, WarmStart};
 pub use centralized::{solve_centralized, CentralizedSolution};
-pub use distributed::{DistributedGame, StaleDistributedGame};
+pub use distributed::DistributedGame;
 pub use dynamics::{uniform_fleet, RoundOutcome, SocCoupledGame};
 pub use engine::{Game, Outcome, Snapshot, UpdateOrder};
 pub use error::GameError;

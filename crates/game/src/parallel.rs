@@ -2,9 +2,9 @@
 //!
 //! Theorem IV.1 proves the asynchronous best-response dynamics converge even
 //! when players respond to *stale* observations of the others' schedules —
-//! the same license the decentralized runtime
-//! ([`crate::distributed::StaleDistributedGame`]) exercises across threads
-//! with bounded-staleness reads. This module exercises it in-process, at
+//! the same license the thread-per-OLEV runtime exercises when
+//! [`crate::DistributedGame::window`] keeps several offers in flight over
+//! its channels. This module exercises it in-process, at
 //! fleet scale: each *round* freezes a snapshot of the cached section loads
 //! (the O(C) aggregates maintained by [`crate::schedule::PowerSchedule`]),
 //! fans a batch of players out across `K` shard worker threads that compute
@@ -74,7 +74,7 @@ use oes_units::OlevId;
 use crate::best_response::{best_response, BestResponse};
 use crate::engine::{Game, Outcome, Snapshot, UpdateOrder};
 use crate::error::GameError;
-use crate::faults::{DegradationReport, Eviction, EvictionReason, FaultPlan};
+use crate::faults::{evict_row, DegradationReport, Eviction, EvictionReason, FaultPlan};
 use crate::payment::{payment_for_schedule, Scheduler};
 use crate::pricing::SectionCost;
 use crate::satisfaction::Satisfaction;
@@ -424,18 +424,17 @@ fn evict(
     caps: &[f64],
     active: &mut [bool],
     report: &mut DegradationReport,
-    zero_row: &[f64],
 ) {
     active[n] = false;
-    state.apply_row(OlevId(n), zero_row, satisfactions, cost, caps);
     if matches!(reason, EvictionReason::Departed) {
         report.goodbyes += 1;
     }
-    report.evictions.push(Eviction {
+    let eviction = Eviction {
         olev: n,
         at_update,
         reason,
-    });
+    };
+    evict_row(state, satisfactions, cost, caps, report, eviction);
 }
 
 impl Game {
@@ -567,7 +566,6 @@ impl Game {
         let mut active = vec![true; n_olevs];
         let mut replies = vec![0usize; n_olevs];
         let mut offer_seq = vec![0u64; n_olevs];
-        let zero_row = vec![0.0; caps.len()];
         let mut scratch_excl: Vec<f64> = Vec::with_capacity(caps.len());
         let mut report = DegradationReport::default();
         let mut trajectory = Vec::with_capacity(max_updates.min(4096));
@@ -588,7 +586,6 @@ impl Game {
                         caps,
                         &mut active,
                         &mut report,
-                        &zero_row,
                     );
                 }
             }
@@ -647,7 +644,6 @@ impl Game {
                                 caps,
                                 &mut active,
                                 &mut report,
-                                &zero_row,
                             );
                             continue;
                         }
@@ -810,7 +806,6 @@ impl Game {
                                             caps,
                                             &mut active,
                                             &mut report,
-                                            &zero_row,
                                         );
                                     }
                                 }
@@ -1038,7 +1033,6 @@ impl Game {
                                                 caps,
                                                 &mut active,
                                                 &mut report,
-                                                &zero_row,
                                             );
                                             serial_fallback = true;
                                         }

@@ -1,22 +1,23 @@
 //! A sans-IO session coordinator: the grid side of the offer/response
-//! protocol, detached from any transport.
+//! protocol, detached from any transport and from any clock.
 //!
-//! [`crate::distributed`] runs the protocol over in-process `std::sync::mpsc`
-//! channels with fault *injection*; a networked deployment runs the same
-//! protocol over sockets with fault *reality*. This module factors the grid
-//! coordinator's session machinery — round-robin offer dispatch, sequence
-//! numbering, duplicate/stale discard, reply validation and clamping,
-//! per-offer deadlines with bounded retries, graceful eviction into the
-//! [`DegradationReport`] — into a pure state machine that consumes protocol
-//! events and emits frames to send. The caller owns the wire.
+//! This is the workspace's one offer/deadline/eviction coordinator:
+//! round-robin offer dispatch, sequence numbering, duplicate/stale discard,
+//! reply validation and clamping, per-offer deadlines with bounded retries,
+//! graceful eviction into the [`DegradationReport`], and the convergence
+//! quorum — a pure state machine that consumes protocol events and emits
+//! frames to send. The caller owns the wire and the time: every call takes
+//! `now_us` on whatever clock the caller keeps.
 //!
-//! The contract that makes `oes-service` a *transport wrapper* rather than a
-//! fork of the game logic: driven by a clean, ordered transport with one
-//! outstanding offer (`window = 1`), this coordinator performs bit-for-bit
-//! the same sequence of schedule applies as [`crate::DistributedGame`] — the
-//! same offers in the same order, the same water-filling allocations, the
-//! same [`Snapshot`] trajectory, the same convergence test. The workspace
-//! chaos suite pins that equivalence.
+//! Two callers drive it. `oes-service` runs it over sockets with fault
+//! *reality* and a service clock. [`crate::DistributedGame`] runs it over
+//! in-process channels with fault *injection* and a virtual clock: it
+//! expires, at its deadline, every transmission its own fault plan makes
+//! futile, and otherwise only waits for replies. Driven by a clean, ordered
+//! transport with one outstanding offer (`window = 1`), both perform the
+//! same sequence of schedule applies — the same offers in the same order,
+//! the same water-filling allocations, the same [`Snapshot`] trajectory,
+//! the same convergence test — which the workspace chaos suites pin.
 
 use std::collections::{BTreeMap, HashSet};
 use std::time::Duration;
@@ -27,16 +28,64 @@ use oes_wpt::v2i::{GridMessage, OlevMessage, V2iFrame};
 
 use crate::engine::{Game, Outcome, Snapshot};
 use crate::error::GameError;
-use crate::faults::{DegradationReport, Eviction, EvictionReason};
+use crate::faults::{evict_row, DegradationReport, Eviction, EvictionReason};
 use crate::payment::Scheduler;
 use crate::pricing::SectionCost;
 use crate::satisfaction::Satisfaction;
 use crate::state::ScheduleState;
 
 /// Invalid replies against one logical offer — or malformed frames from one
-/// session — before it is evicted as misbehaving. Matches the in-process
-/// runtimes' `MAX_INVALID_REPLIES`.
+/// session — before it is evicted as misbehaving.
 pub const MAX_STRIKES: u32 = 4;
+
+/// The telemetry names a [`SessionCoordinator`] emits under. `None` skips
+/// the event.
+#[derive(Debug)]
+pub(crate) struct Names {
+    offer: &'static str,
+    retry: &'static str,
+    timeout: &'static str,
+    evicted: &'static str,
+    duplicate: &'static str,
+    stale: &'static str,
+    invalid_reply: &'static str,
+    clamped_reply: &'static str,
+    accepted: Option<&'static str>,
+    latency: Option<&'static str>,
+    /// A span around each accepted reply's schedule apply.
+    apply: Option<&'static str>,
+}
+
+/// The `service.*` names `oes-service` journals.
+const SERVICE_NAMES: Names = Names {
+    offer: "service.offer",
+    retry: "service.retry",
+    timeout: "service.timeout",
+    evicted: "service.evicted",
+    duplicate: "service.duplicate",
+    stale: "service.stale",
+    invalid_reply: "service.invalid_reply",
+    clamped_reply: "service.clamped_reply",
+    accepted: Some("service.accepted"),
+    latency: Some("service.latency"),
+    apply: None,
+};
+
+/// The `net.*` names (and `grid.apply` span) the thread-per-OLEV runtime
+/// journals.
+pub(crate) const NET_NAMES: Names = Names {
+    offer: "net.offer",
+    retry: "net.retry",
+    timeout: "net.timeout",
+    evicted: "net.eviction",
+    duplicate: "net.duplicate",
+    stale: "net.stale",
+    invalid_reply: "net.invalid_reply",
+    clamped_reply: "net.clamped_reply",
+    accepted: None,
+    latency: None,
+    apply: Some("grid.apply"),
+};
 
 /// Knobs of a [`SessionCoordinator`].
 #[derive(Debug, Clone)]
@@ -101,7 +150,12 @@ pub enum ReplyDisposition {
     Stale,
     /// The reply failed validation (strike issued, offer retried or the
     /// session evicted).
-    Invalid,
+    Invalid {
+        /// The session whose offer the reply answered.
+        olev: usize,
+        /// What was wrong with the reply.
+        reason: String,
+    },
     /// A `Hello` or `Goodbye` was tallied.
     Housekeeping,
 }
@@ -112,7 +166,7 @@ pub enum ReplyDisposition {
 /// [`on_message`](Self::on_message) for inbound frames,
 /// [`expire`](Self::expire) for deadline sweeps — and it yields the frames
 /// to transmit plus the same [`Outcome`] bookkeeping as the in-process
-/// runtimes.
+/// engines.
 pub struct SessionCoordinator<'g> {
     cost: SectionCost,
     scheduler: Scheduler,
@@ -123,6 +177,7 @@ pub struct SessionCoordinator<'g> {
     state: &'g mut ScheduleState,
     config: SessionConfig,
     telemetry: Telemetry,
+    names: &'static Names,
     trace_gen: TraceIdGen,
     scratch_loads: Vec<f64>,
 
@@ -184,6 +239,7 @@ impl<'g> SessionCoordinator<'g> {
             trace_gen: TraceIdGen::new(config.trace_seed),
             config,
             telemetry,
+            names: &SERVICE_NAMES,
             scratch_loads: Vec::with_capacity(sections),
             alive: vec![true; n],
             live: n,
@@ -202,6 +258,18 @@ impl<'g> SessionCoordinator<'g> {
             trajectory: Vec::new(),
             report: DegradationReport::default(),
         }
+    }
+
+    /// Emits telemetry under `names` instead of the `service.*` defaults.
+    pub(crate) fn with_names(mut self, names: &'static Names) -> Self {
+        self.names = names;
+        self
+    }
+
+    /// The vehicles' satisfaction functions, borrowed for the game's
+    /// lifetime (a driver hands them to its workers).
+    pub(crate) fn satisfactions(&self) -> &'g [Box<dyn Satisfaction>] {
+        self.satisfactions
     }
 
     /// Sessions still in the game.
@@ -240,6 +308,16 @@ impl<'g> SessionCoordinator<'g> {
         &self.report
     }
 
+    /// The accounting, for transport faults only the caller sees.
+    pub(crate) fn report_mut(&mut self) -> &mut DegradationReport {
+        &mut self.report
+    }
+
+    /// The snapshot of the latest applied update.
+    pub(crate) fn last_snapshot(&self) -> Option<&Snapshot> {
+        self.trajectory.last()
+    }
+
     /// Whether the run is over: converged, out of update budget, or out of
     /// live sessions. Once true, [`pump`](Self::pump) issues nothing more.
     #[must_use]
@@ -254,6 +332,12 @@ impl<'g> SessionCoordinator<'g> {
     /// are tallied instead of treated as departures.
     pub fn drain(&mut self) {
         self.draining = true;
+    }
+
+    /// Abandons every outstanding offer, so its reply counts as stale.
+    pub(crate) fn abandon_in_flight(&mut self) {
+        self.abandoned
+            .extend(std::mem::take(&mut self.pending).into_keys());
     }
 
     fn timeout_for(&self, attempt: u32) -> Duration {
@@ -285,7 +369,7 @@ impl<'g> SessionCoordinator<'g> {
         if attempt > 0 {
             self.report.retries += 1;
             self.telemetry
-                .counter_traced("service.retry", olev as i64, trace, 1);
+                .counter_traced(self.names.retry, olev as i64, trace, 1);
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -307,7 +391,7 @@ impl<'g> SessionCoordinator<'g> {
         );
         self.report.offers_sent += 1;
         self.telemetry
-            .counter_traced("service.offer", olev as i64, trace, 1);
+            .counter_traced(self.names.offer, olev as i64, trace, 1);
         let budget_us = self.timeout_for_us(attempt);
         let deadline_us = now_us.saturating_add(budget_us);
         self.pending.insert(
@@ -369,22 +453,38 @@ impl<'g> SessionCoordinator<'g> {
             .map(|(s, _)| *s)
             .collect();
         for seq in expired {
-            let Some(p) = self.pending.remove(&seq) else {
-                continue;
-            };
-            self.abandoned.insert(seq);
-            self.report.timeouts += 1;
-            self.telemetry
-                .counter_traced("service.timeout", p.olev as i64, p.trace, 1);
-            if !self.alive[p.olev] {
-                continue;
-            }
-            if p.attempt >= self.config.retry_budget {
-                self.evict_traced(p.olev, EvictionReason::Unresponsive, p.trace);
-            } else {
-                let offer = self.make_offer(p.olev, p.attempt + 1, p.invalids, p.trace, now_us);
-                out.push(offer);
-            }
+            self.expire_offer(seq, now_us, None, out);
+        }
+    }
+
+    /// Expires the one offer `seq`, if still in flight: a timeout, then a
+    /// retry appended to `out` — or, past the retry budget, an
+    /// `Unresponsive` eviction. A `crash` payload evicts the session as
+    /// crashed instead, since no retry can reach a dead peer.
+    pub(crate) fn expire_offer(
+        &mut self,
+        seq: u64,
+        now_us: u64,
+        crash: Option<String>,
+        out: &mut Vec<OutboundOffer>,
+    ) {
+        let Some(p) = self.pending.remove(&seq) else {
+            return;
+        };
+        self.abandoned.insert(seq);
+        self.report.timeouts += 1;
+        self.telemetry
+            .counter_traced(self.names.timeout, p.olev as i64, p.trace, 1);
+        if !self.alive[p.olev] {
+            return;
+        }
+        if let Some(msg) = crash {
+            self.evict_traced(p.olev, EvictionReason::Crashed(msg), p.trace);
+        } else if p.attempt >= self.config.retry_budget {
+            self.evict_traced(p.olev, EvictionReason::Unresponsive, p.trace);
+        } else {
+            let offer = self.make_offer(p.olev, p.attempt + 1, p.invalids, p.trace, now_us);
+            out.push(offer);
         }
     }
 
@@ -403,13 +503,6 @@ impl<'g> SessionCoordinator<'g> {
         self.alive[olev] = false;
         self.live -= 1;
         self.last_evicted = olev;
-        self.state.apply_row(
-            OlevId(olev),
-            &vec![0.0; self.caps.len()],
-            self.satisfactions,
-            &self.cost,
-            &self.caps,
-        );
         let in_flight: Vec<u64> = self
             .pending
             .iter()
@@ -422,12 +515,19 @@ impl<'g> SessionCoordinator<'g> {
         }
         self.calm_streak = 0;
         self.telemetry
-            .counter_traced("service.evicted", olev as i64, trace, 1);
-        self.report.evictions.push(Eviction {
-            olev,
-            at_update: self.updates,
-            reason,
-        });
+            .counter_traced(self.names.evicted, olev as i64, trace, 1);
+        evict_row(
+            self.state,
+            self.satisfactions,
+            &self.cost,
+            &self.caps,
+            &mut self.report,
+            Eviction {
+                olev,
+                at_update: self.updates,
+                reason,
+            },
+        );
     }
 
     /// Issues a strike against a session that sent garbage the framing or
@@ -465,6 +565,10 @@ impl<'g> SessionCoordinator<'g> {
         trace: TraceId,
         total: f64,
     ) -> V2iFrame<GridMessage> {
+        let span = self
+            .names
+            .apply
+            .map(|name| self.telemetry.span(name, olev as i64));
         let id = OlevId(olev);
         self.state.loads_excluding_into(id, &mut self.scratch_loads);
         let allocation =
@@ -486,6 +590,7 @@ impl<'g> SessionCoordinator<'g> {
             welfare: self.state.welfare(),
             change,
         };
+        drop(span);
         self.trajectory.push(snapshot);
         if change < self.tolerance {
             self.calm_streak += 1;
@@ -513,7 +618,7 @@ impl<'g> SessionCoordinator<'g> {
     }
 
     /// Consumes one inbound frame. An accepted `PowerRequest` appends the
-    /// closing `PaymentUpdate` for its session to `out`; an invalid one
+    /// closing `PaymentUpdate` for its session to `updates_out`; an invalid one
     /// appends the retry offer (or evicts). `Hello`/`Goodbye` are tallied —
     /// a mid-run `Goodbye` is a voluntary departure and evicts gracefully.
     pub fn on_message(
@@ -544,13 +649,13 @@ impl<'g> SessionCoordinator<'g> {
         if self.accepted.contains(&seq) {
             self.report.duplicates += 1;
             self.telemetry
-                .counter_traced("service.duplicate", id.0 as i64, echoed, 1);
+                .counter_traced(self.names.duplicate, id.0 as i64, echoed, 1);
             return ReplyDisposition::Duplicate;
         }
         let Some(p) = self.pending.get(&seq) else {
             self.report.stale += 1;
             self.telemetry
-                .counter_traced("service.stale", id.0 as i64, echoed, 1);
+                .counter_traced(self.names.stale, id.0 as i64, echoed, 1);
             return ReplyDisposition::Stale;
         };
         let (olev, attempt, invalids, trace, sent_at_us) =
@@ -563,12 +668,12 @@ impl<'g> SessionCoordinator<'g> {
         } else {
             Self::validate(total).err()
         };
-        if fault.is_some() {
+        if let Some(reason) = fault {
             self.pending.remove(&seq);
             self.abandoned.insert(seq);
             self.report.invalid_replies += 1;
             self.telemetry
-                .counter_traced("service.invalid_reply", olev as i64, trace, 1);
+                .counter_traced(self.names.invalid_reply, olev as i64, trace, 1);
             if invalids + 1 >= MAX_STRIKES {
                 self.evict_traced(olev, EvictionReason::Misbehaving, trace);
             } else if attempt >= self.config.retry_budget {
@@ -577,7 +682,7 @@ impl<'g> SessionCoordinator<'g> {
                 let offer = self.make_offer(olev, attempt + 1, invalids + 1, trace, now_us);
                 out.push(offer);
             }
-            return ReplyDisposition::Invalid;
+            return ReplyDisposition::Invalid { olev, reason };
         }
         // Accept. Clamp an over-ask to the OLEV's physical bound P_OLEV.
         let bound = self.p_max[olev];
@@ -585,7 +690,7 @@ impl<'g> SessionCoordinator<'g> {
             if total > bound + 1e-9 {
                 self.report.clamped_replies += 1;
                 self.telemetry
-                    .counter_traced("service.clamped_reply", olev as i64, trace, 1);
+                    .counter_traced(self.names.clamped_reply, olev as i64, trace, 1);
             }
             bound
         } else {
@@ -594,14 +699,14 @@ impl<'g> SessionCoordinator<'g> {
         self.pending.remove(&seq);
         self.accepted.insert(seq);
         let update = self.apply(olev, seq, trace, total);
-        self.telemetry
-            .counter_traced("service.accepted", olev as i64, trace, 1);
-        self.telemetry.histogram_traced(
-            "service.latency",
-            olev as i64,
-            trace,
-            now_us.saturating_sub(sent_at_us) as f64,
-        );
+        if let Some(name) = self.names.accepted {
+            self.telemetry.counter_traced(name, olev as i64, trace, 1);
+        }
+        if let Some(name) = self.names.latency {
+            let latency_us = now_us.saturating_sub(sent_at_us) as f64;
+            self.telemetry
+                .histogram_traced(name, olev as i64, trace, latency_us);
+        }
         updates_out.push((olev, update));
         ReplyDisposition::Applied
     }
@@ -611,9 +716,9 @@ impl<'g> SessionCoordinator<'g> {
     /// # Errors
     ///
     /// [`GameError::OlevEvicted`] if every session was evicted — a game with
-    /// no live players has no welfare to optimize. Mirrors the in-process
-    /// runtimes, which return the error alone; callers needing the partial
-    /// accounting should copy [`Self::report`] before finishing.
+    /// no live players has no welfare to optimize. The error comes alone;
+    /// callers needing the partial accounting should copy [`Self::report`]
+    /// before finishing.
     pub fn finish(self) -> Result<Outcome, GameError> {
         if self.live == 0 {
             return Err(GameError::OlevEvicted(self.last_evicted));

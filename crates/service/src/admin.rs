@@ -7,8 +7,7 @@
 //! uses, so the admin listener shares the service's single-threaded poll
 //! loop and never blocks it.
 //!
-//! - `GET /metrics` renders the shared
-//!   [`AggregatingRecorder`](oes_telemetry::AggregatingRecorder) as the
+//! - `GET /metrics` renders the shared [`AggregatingRecorder`] as the
 //!   deterministic sorted text exposition. Same-seed runs serve
 //!   byte-identical bodies.
 //! - `GET /healthz` is pure liveness: `200` while the service loop runs,

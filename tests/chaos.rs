@@ -15,16 +15,17 @@
 //!    `Outcome` trajectories, identical degradation reports, and bit-equal
 //!    welfare (single-offer window only; see the `distributed` module docs).
 //!
-//! No lost message may ever deadlock `run`: every wait is bounded by a
-//! deadline plus a finite retry budget, and fault verdicts the coordinator
-//! can pre-compute are expired *virtually*, so even a 100%-loss plan fails
-//! fast rather than waiting out wall-clock timeouts.
+//! No lost message may ever deadlock `run`, and no slow one may be timed
+//! out: the fault verdicts that make a transmission futile are known at send
+//! time and expired at their deadline on a virtual clock (bounded by a
+//! finite retry budget), so a 100%-loss plan fails fast, and every other
+//! offer is waited for until it is answered.
 
 use std::time::{Duration, Instant};
 
 use oes::game::{
-    ApplyMode, DistributedGame, EvictionReason, FaultPlan, GameBuilder, GameError, Outcome,
-    ParallelConfig, StaleDistributedGame, UpdateOrder,
+    ApplyMode, DistributedGame, EvictionReason, FaultPlan, GameBuilder, GameError, LogSatisfaction,
+    Outcome, ParallelConfig, Satisfaction, UpdateOrder,
 };
 use oes::telemetry::Telemetry;
 use oes::units::Kilowatts;
@@ -211,6 +212,111 @@ fn corrupted_replies_are_quarantined_not_believed() {
     );
 }
 
+/// A satisfaction whose every marginal evaluation outlasts the 1 ms offer
+/// deadline used below.
+struct Sluggish(LogSatisfaction);
+
+impl Satisfaction for Sluggish {
+    fn value(&self, p: f64) -> f64 {
+        self.0.value(p)
+    }
+
+    fn derivative(&self, p: f64) -> f64 {
+        std::thread::sleep(Duration::from_millis(2));
+        self.0.derivative(p)
+    }
+
+    fn name(&self) -> &str {
+        "sluggish"
+    }
+}
+
+#[test]
+fn slow_workers_are_never_timed_out_by_the_wall_clock() {
+    let mut game = GameBuilder::new()
+        .sections(3, Kilowatts::new(SECTION_CAP))
+        .olev_with(
+            Kilowatts::new(50.0),
+            Box::new(Sluggish(LogSatisfaction::new(1.0))),
+        )
+        .olev_with(
+            Kilowatts::new(40.0),
+            Box::new(Sluggish(LogSatisfaction::new(2.0))),
+        )
+        .build()
+        .expect("valid scenario");
+    // A lossless plan turns fault tolerance on without injecting anything:
+    // every reply is late by the wall clock, none is lost.
+    let outcome = DistributedGame::new(&mut game)
+        .with_faults(FaultPlan::new(17))
+        .offer_timeout(Duration::from_millis(1))
+        .run(2_000)
+        .expect("slow but reliable workers converge");
+
+    assert!(outcome.converged());
+    let report = outcome.degradation();
+    assert_eq!(
+        report.retries, 0,
+        "a slow reply is not a lost one: {report:?}"
+    );
+    assert!(
+        report.is_clean(),
+        "slow workers degraded the run: {report:?}"
+    );
+}
+
+/// A satisfaction whose worker panics on its first best response: a fault
+/// no plan scheduled.
+struct Diverging;
+
+impl Satisfaction for Diverging {
+    fn value(&self, p: f64) -> f64 {
+        p.ln_1p()
+    }
+
+    fn derivative(&self, _p: f64) -> f64 {
+        panic!("satisfaction model diverged")
+    }
+
+    fn name(&self) -> &str {
+        "diverging"
+    }
+}
+
+#[test]
+fn an_unplanned_worker_panic_aborts_strict_runs_and_evicts_in_tolerant_ones() {
+    let build = || {
+        GameBuilder::new()
+            .sections(4, Kilowatts::new(SECTION_CAP))
+            .olevs(2, Kilowatts::new(50.0))
+            .olev_with(Kilowatts::new(50.0), Box::new(Diverging))
+            .build()
+            .expect("valid scenario")
+    };
+    // Without a plan the first fault ends the run, panic payload included.
+    match DistributedGame::new(&mut build()).run(2_000) {
+        Err(GameError::WorkerFailed(msg)) => {
+            assert!(msg.contains("model diverged"), "payload lost: {msg}");
+        }
+        other => panic!("expected WorkerFailed, got {other:?}"),
+    }
+    // With one, the worker's death notice evicts it and the rest converge.
+    let mut game = build();
+    let outcome = DistributedGame::new(&mut game)
+        .with_faults(FaultPlan::new(3))
+        .run(2_000)
+        .expect("survivors converge");
+    assert!(outcome.converged());
+    let report = outcome.degradation();
+    assert_eq!(report.evicted(), vec![2]);
+    assert!(
+        matches!(&report.evictions[0].reason,
+                 EvictionReason::Crashed(msg) if msg.contains("model diverged")),
+        "panic must be attributed, got {:?}",
+        report.evictions[0].reason
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Departures and total loss: bounded, attributed, never deadlocked.
 // ---------------------------------------------------------------------------
@@ -285,7 +391,8 @@ fn stale_window_survives_lossy_links() {
         .drop_probability(0.15)
         .duplicate_probability(0.1)
         .max_delay_ms(25);
-    let outcome = StaleDistributedGame::new(&mut game, 3)
+    let outcome = DistributedGame::new(&mut game)
+        .window(3)
         .with_faults(plan)
         .offer_timeout(Duration::from_millis(10))
         .retry_budget(12)
