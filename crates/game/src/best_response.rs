@@ -15,6 +15,12 @@
 //! with O(1) probes finishes inside it, and the schedule is read off at that
 //! level — no level search at all. Greedy scheduling (the linear baseline)
 //! keeps the request-space solve.
+//!
+//! That water-filling solve is one crate-private move kernel. The engine's
+//! update calls it with a level table and row it owns and keeps only the
+//! total and the shares; [`best_response`] calls it with fresh buffers and
+//! then prices the move (payment and utility), so the two agree bit for
+//! bit.
 
 use crate::payment::{payment_for_schedule, quote, Scheduler};
 use crate::pricing::SectionCost;
@@ -102,7 +108,50 @@ pub fn best_response(
     }
 }
 
-/// Eq. 22 solved in marginal-price space.
+/// Eq. 22 solved in marginal-price space, priced: [`waterfilling_move`]
+/// into a fresh level table and share vector, then the payment `Ψ_n(p*_n)`
+/// and utility of the move.
+fn waterfilling_response(
+    satisfaction: &dyn Satisfaction,
+    cost: &SectionCost,
+    caps: &[f64],
+    loads_excl: &[f64],
+    p_max: f64,
+) -> BestResponse {
+    let mut levels = WaterLevels::default();
+    let mut shares = vec![0.0; caps.len()];
+    let (total, mu) = waterfilling_move(
+        satisfaction,
+        cost,
+        caps,
+        loads_excl,
+        p_max,
+        &mut levels,
+        &mut shares,
+    );
+    let payment = payment_for_schedule(cost, caps, loads_excl, &shares);
+    let utility = satisfaction.value(total) - payment;
+    BestResponse {
+        total,
+        allocation: Allocation {
+            shares,
+            marginal: mu,
+        },
+        payment,
+        utility,
+    }
+}
+
+/// The water-filling move kernel: OLEV `n`'s best-response total and the
+/// grid's schedule for it, without the payment or utility that only a
+/// [`BestResponse`] reports. [`crate::Game::update_olev`] calls it with a
+/// level table and row slice it owns, so an engine update allocates
+/// nothing; [`best_response`] calls it and then prices the move, so both
+/// produce the same bits.
+///
+/// Rebuilds `levels` against `loads_excl`, writes the renormalized shares
+/// into `shares` (one slot per entry of `caps`) and returns the total and
+/// the water level `μ` it sits at.
 ///
 /// The grid's quote has marginal `Ψ'_n(p) = μ` where `A(μ) = p`, and `A` is
 /// the piecewise-linear total the water-filling schedule hands out at price
@@ -112,14 +161,16 @@ pub fn best_response(
 /// affine piece `A(μ) = sμ + t` holding the root; there `U'(sμ + t) = μ` is
 /// a scalar equation with O(1) probes, and the schedule is `A`'s own split
 /// at the root level.
-fn waterfilling_response(
+pub(crate) fn waterfilling_move(
     satisfaction: &dyn Satisfaction,
     cost: &SectionCost,
     caps: &[f64],
     loads_excl: &[f64],
     p_max: f64,
-) -> BestResponse {
-    let levels = WaterLevels::new(cost, caps, loads_excl);
+    levels: &mut WaterLevels,
+    shares: &mut [f64],
+) -> (f64, f64) {
+    levels.rebuild(cost, caps, loads_excl);
     let floor = levels.floor();
     let (total, mu) = if p_max == 0.0 || satisfaction.derivative(0.0) <= floor {
         // Case 1: already unprofitable at zero.
@@ -140,16 +191,8 @@ fn waterfilling_response(
             (piece.total_at(mu).min(p_max), mu)
         }
     };
-
-    let allocation = levels.allocation(mu, total);
-    let payment = payment_for_schedule(cost, caps, loads_excl, &allocation.shares);
-    let utility = satisfaction.value(total) - payment;
-    BestResponse {
-        total,
-        allocation,
-        payment,
-        utility,
-    }
+    levels.write_shares(mu, total, shares);
+    (total, mu)
 }
 
 /// The root of a strictly decreasing `h` on `[lo, hi]` by false position

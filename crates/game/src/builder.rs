@@ -10,6 +10,7 @@ use crate::pricing::{NonlinearPricing, OverloadPenalty, PricingPolicy, SectionCo
 use crate::satisfaction::{LogSatisfaction, Satisfaction};
 use crate::schedule::{PowerSchedule, RESYNC_WRITES};
 use crate::state::{ScheduleState, DEFAULT_RESYNC_EVERY};
+use crate::waterfill::WaterLevels;
 
 /// Builds a [`Game`].
 ///
@@ -437,6 +438,7 @@ impl GameBuilder {
         state.set_schedule_resync_writes(self.schedule_resync_writes);
         let scratch_loads = Vec::with_capacity(self.caps.len());
         let scratch_row = vec![0.0; self.caps.len()];
+        let cap_sum = self.caps.iter().sum();
         let mut game = Game {
             satisfactions,
             p_max,
@@ -447,6 +449,8 @@ impl GameBuilder {
             tolerance: self.tolerance,
             scratch_loads,
             scratch_row,
+            levels: WaterLevels::default(),
+            cap_sum,
             windows,
             welfare_resync_every: self.welfare_resync_every,
             schedule_resync_writes: self.schedule_resync_writes,

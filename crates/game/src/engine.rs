@@ -6,18 +6,27 @@
 //! process converges to the socially optimal schedule; the engine detects
 //! convergence when a full cycle of updates moves nobody by more than the
 //! tolerance.
+//!
+//! An update needs only the OLEV's new total and row, so under water-filling
+//! [`Game::update_olev`] runs the best response's move kernel into buffers
+//! the game owns (its level table and scratch row) and never builds the
+//! priced [`crate::best_response::BestResponse`]: no payment, no utility,
+//! no allocation per update. Greedy scheduling keeps the full best
+//! response. The capacity sum behind [`Game::system_congestion`] is taken
+//! once at build.
 
 use oes_telemetry::Telemetry;
 use oes_units::rng::ChaCha8Rng;
 use oes_units::{OlevId, SectionId};
 
-use crate::best_response::best_response;
+use crate::best_response::{best_response, waterfilling_move};
 use crate::error::GameError;
 use crate::payment::{payment_for_schedule, Scheduler};
 use crate::pricing::SectionCost;
 use crate::satisfaction::Satisfaction;
 use crate::schedule::PowerSchedule;
 use crate::state::ScheduleState;
+use crate::waterfill::WaterLevels;
 
 /// The order in which the grid polls OLEVs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,8 +165,12 @@ pub struct Game {
     pub(crate) tolerance: f64,
     /// Reusable `P_{-n,c}` buffer so the hot update path does not allocate.
     pub(crate) scratch_loads: Vec<f64>,
-    /// Reusable full-width row buffer for scattering windowed allocations.
+    /// Reusable full-width row buffer the next row is written into.
     pub(crate) scratch_row: Vec<f64>,
+    /// Reusable water-filling level table of the move kernel.
+    pub(crate) levels: WaterLevels,
+    /// `Σ_c caps[c]`, summed once at build in `caps` order.
+    pub(crate) cap_sum: f64,
     /// Per-OLEV accessible-section windows `[start, end)` — the corridor
     /// span the OLEV can draw power on. Defaults to the full section range.
     pub(crate) windows: Vec<(usize, usize)>,
@@ -327,7 +340,7 @@ impl Game {
     /// System congestion degree (total load over total capacity).
     #[must_use]
     pub fn system_congestion(&self) -> f64 {
-        self.state.schedule().system_congestion(&self.caps)
+        self.state.schedule().congestion_over(self.cap_sum)
     }
 
     /// Current social welfare `W(p)` (Eq. 7), from the incrementally
@@ -364,7 +377,8 @@ impl Game {
     }
 
     /// Runs one best-response update for OLEV `n` (Eqs. 20–21) and returns
-    /// `|Δp_n|`.
+    /// `|Δp_n|`. The row written is the one [`crate::best_response()`]
+    /// returns against the current `P_{-n,c}`, bit for bit.
     ///
     /// # Errors
     ///
@@ -377,26 +391,48 @@ impl Game {
         self.state.loads_excluding_into(id, &mut self.scratch_loads);
         let before = self.state.schedule().olev_total(id);
         let (w0, w1) = self.windows[n];
-        let br = best_response(
-            self.satisfactions[n].as_ref(),
-            &self.cost,
-            &self.caps[w0..w1],
-            &self.scratch_loads[w0..w1],
-            self.p_max[n],
-            self.scheduler,
-        );
-        let row: &[f64] = if (w0, w1) == (0, self.caps.len()) {
-            &br.allocation.shares
-        } else {
-            // Scatter the windowed allocation into a full-width row: the
-            // schedule stays zero outside the OLEV's corridor span.
+        if (w0, w1) != (0, self.caps.len()) {
+            // The schedule stays zero outside the OLEV's corridor span.
             self.scratch_row.fill(0.0);
-            self.scratch_row[w0..w1].copy_from_slice(&br.allocation.shares);
-            &self.scratch_row
+        }
+        let caps = &self.caps[w0..w1];
+        let loads_excl = &self.scratch_loads[w0..w1];
+        let shares = &mut self.scratch_row[w0..w1];
+        let satisfaction = self.satisfactions[n].as_ref();
+        let total = match self.scheduler {
+            Scheduler::WaterFilling => {
+                waterfilling_move(
+                    satisfaction,
+                    &self.cost,
+                    caps,
+                    loads_excl,
+                    self.p_max[n],
+                    &mut self.levels,
+                    shares,
+                )
+                .0
+            }
+            Scheduler::Greedy => {
+                let br = best_response(
+                    satisfaction,
+                    &self.cost,
+                    caps,
+                    loads_excl,
+                    self.p_max[n],
+                    self.scheduler,
+                );
+                shares.copy_from_slice(&br.allocation.shares);
+                br.total
+            }
         };
-        self.state
-            .apply_row(id, row, &self.satisfactions, &self.cost, &self.caps);
-        Ok((br.total - before).abs())
+        self.state.apply_row(
+            id,
+            &self.scratch_row,
+            &self.satisfactions,
+            &self.cost,
+            &self.caps,
+        );
+        Ok((total - before).abs())
     }
 
     /// Runs asynchronous best responses until convergence or `max_updates`.

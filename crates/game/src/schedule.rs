@@ -338,7 +338,13 @@ impl PowerSchedule {
     #[must_use]
     pub fn system_congestion(&self, caps: &[f64]) -> f64 {
         assert_eq!(caps.len(), self.sections, "capacity vector length mismatch");
-        let cap: f64 = caps.iter().sum();
+        self.congestion_over(caps.iter().sum())
+    }
+
+    /// [`PowerSchedule::system_congestion`] for a total capacity `cap`
+    /// summed by the caller (`caps.iter().sum()`, in that order, for the
+    /// same bits).
+    pub(crate) fn congestion_over(&self, cap: f64) -> f64 {
         let total = self.total();
         if cap <= 0.0 {
             if total <= 0.0 {

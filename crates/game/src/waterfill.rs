@@ -176,8 +176,10 @@ impl Segment {
 ///
 /// Building it costs one O(C log C) sort; [`WaterLevels::level`] then
 /// inverts `A` exactly, and the best response finds its first-order root
-/// on the same table ([`WaterLevels::crossing`]).
-#[derive(Debug)]
+/// on the same table ([`WaterLevels::crossing`]). The engine keeps one and
+/// [`rebuilds`](WaterLevels::rebuild) it in place for every update, so its
+/// buffers are allocated once per game.
+#[derive(Debug, Default)]
 pub(crate) struct WaterLevels {
     pieces: Vec<Piece>,
     breakpoints: Vec<Breakpoint>,
@@ -189,15 +191,26 @@ impl WaterLevels {
     ///
     /// # Panics
     ///
+    /// As [`WaterLevels::rebuild`].
+    pub(crate) fn new(cost: &SectionCost, caps: &[f64], loads: &[f64]) -> Self {
+        let mut levels = Self::default();
+        levels.rebuild(cost, caps, loads);
+        levels
+    }
+
+    /// Replaces the level structure with [`WaterLevels::new`]'s for these
+    /// inputs, reusing the buffers.
+    ///
+    /// # Panics
+    ///
     /// Panics on empty inputs, mismatched lengths, or a cost without strict
     /// convexity.
-    pub(crate) fn new(cost: &SectionCost, caps: &[f64], loads: &[f64]) -> Self {
+    pub(crate) fn rebuild(&mut self, cost: &SectionCost, caps: &[f64], loads: &[f64]) {
         assert!(!caps.is_empty(), "need at least one section");
         assert_eq!(caps.len(), loads.len(), "caps/loads length mismatch");
-        let pieces = caps
-            .iter()
-            .zip(loads)
-            .map(|(&cap, &load)| {
+        self.pieces.clear();
+        self.pieces
+            .extend(caps.iter().zip(loads).map(|(&cap, &load)| {
                 let (below, past) = cost
                     .z_prime_slopes(cap)
                     .expect("water-filling needs a strictly convex cost");
@@ -219,16 +232,27 @@ impl WaterLevels {
                         past: 1.0 / past,
                     }
                 }
-            })
-            .collect();
-        Self::from_pieces(pieces)
+            }));
+        self.sweep();
+    }
+
+    /// The level structure of the given pieces.
+    fn from_pieces(pieces: Vec<Piece>) -> Self {
+        let mut levels = Self {
+            pieces,
+            breakpoints: Vec::new(),
+        };
+        levels.sweep();
+        levels
     }
 
     /// Sorts the pieces' breakpoints and sweeps `A` and its slope across
     /// them.
-    fn from_pieces(pieces: Vec<Piece>) -> Self {
-        let mut breakpoints = Vec::with_capacity(2 * pieces.len());
-        for p in &pieces {
+    fn sweep(&mut self) {
+        let breakpoints = &mut self.breakpoints;
+        breakpoints.clear();
+        breakpoints.reserve(2 * self.pieces.len());
+        for p in &self.pieces {
             // Until the sweep below, `slope` holds the change of slope.
             breakpoints.push(Breakpoint {
                 price: p.start,
@@ -245,16 +269,12 @@ impl WaterLevels {
         }
         breakpoints.sort_unstable_by(|a, b| a.price.total_cmp(&b.price));
         let (mut total, mut slope, mut price) = (0.0, 0.0, breakpoints[0].price);
-        for b in &mut breakpoints {
+        for b in breakpoints.iter_mut() {
             total += slope * (b.price - price);
             slope += b.slope;
             price = b.price;
             b.total = total;
             b.slope = slope;
-        }
-        Self {
-            pieces,
-            breakpoints,
         }
     }
 
@@ -297,12 +317,22 @@ impl WaterLevels {
     /// (the level's rounding would otherwise accumulate over thousands of
     /// updates).
     pub(crate) fn allocation(&self, mu: f64, total: f64) -> Allocation {
-        let mut shares: Vec<f64> = self.pieces.iter().map(|p| p.share(mu)).collect();
-        renormalize(&mut shares, total);
+        let mut shares = vec![0.0; self.pieces.len()];
+        self.write_shares(mu, total, &mut shares);
         Allocation {
             shares,
             marginal: mu,
         }
+    }
+
+    /// [`WaterLevels::allocation`]'s shares, written into `shares` (one
+    /// slot per section) instead of a new vector.
+    pub(crate) fn write_shares(&self, mu: f64, total: f64, shares: &mut [f64]) {
+        debug_assert_eq!(shares.len(), self.pieces.len(), "one share per section");
+        for (share, piece) in shares.iter_mut().zip(&self.pieces) {
+            *share = piece.share(mu);
+        }
+        renormalize(shares, total);
     }
 
     /// The grid's schedule for `total`: [`WaterLevels::allocation`] at

@@ -9,10 +9,18 @@
 //! 2. derive the hourly OLEV fleet from a traffic-count profile and a
 //!    participation rate ([`oes_traffic::counts`]);
 //! 3. run one pricing game per hour ([`oes_game`]) with Eq. 1/Eq. 2-derived
-//!    capacities;
+//!    capacities. The hours are independent, so their games play
+//!    concurrently on `min(available_parallelism, hours with OLEVs)` threads,
+//!    largest fleet first; each game is built and seeded from its hour
+//!    alone, so the report is the same bits as an hour-by-hour replay;
 //! 4. overlay the resulting OLEV energy back onto the grid day
 //!    ([`oes_grid::ev_load`]) to quantify the added deficiency and price
 //!    pressure the paper warns about.
+
+use std::cmp::Reverse;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 use oes_game::{GameBuilder, NonlinearPricing, PricingPolicy, UpdateOrder};
 use oes_grid::{overlay_ev_load, DaySeries, GridOperator, OperatorConfig};
@@ -120,9 +128,15 @@ impl DailyReport {
 
 /// Runs the full pipeline for one day.
 ///
+/// The hourly games are independent, so they play concurrently on
+/// `min(available_parallelism, hours with OLEVs)` threads, the calling one
+/// included. Each game is built and seeded from its hour alone, so the
+/// report is the same bits for any thread count.
+///
 /// # Errors
 ///
-/// Propagates [`oes_game::GameError`] from any hourly game.
+/// Propagates [`oes_game::GameError`] from the earliest hourly game that
+/// fails.
 pub fn run_day(config: &DailyConfig) -> Result<DailyReport, oes_game::GameError> {
     let operator_config = OperatorConfig::nyiso_like();
     let grid_base = GridOperator::new(operator_config.clone(), config.seed).simulate_day();
@@ -138,18 +152,27 @@ pub fn run_day(config: &DailyConfig) -> Result<DailyReport, oes_game::GameError>
     )
     .receivable_power();
 
-    let mut hours = Vec::with_capacity(24);
+    let hours: Vec<HourPlan> = (0..24)
+        .map(|hour| HourPlan {
+            hour,
+            fleet: ((f64::from(config.counts.at(hour)) * config.participation).round() as usize)
+                .min(config.max_fleet_per_hour),
+            beta: grid_base.at_hour(hour as f64 + 0.5).lbmp.value(),
+        })
+        .collect();
+    let played = play_hours(&hours, |plan| {
+        play_hour(config, plan, cap.value(), p_max.value())
+    });
+
+    let mut outcomes = Vec::with_capacity(24);
     let mut ev_hourly_mwh = vec![0.0; 24];
-    #[allow(clippy::needless_range_loop)] // hour indexes two things at once
-    for hour in 0..24 {
-        let fleet = ((f64::from(config.counts.at(hour)) * config.participation).round() as usize)
-            .min(config.max_fleet_per_hour);
-        let beta = grid_base.at_hour(hour as f64 + 0.5).lbmp.value();
-        if fleet == 0 {
-            hours.push(HourOutcome {
-                hour,
+    for (plan, result) in hours.iter().zip(played) {
+        let outcome = match result {
+            Some(result) => result?,
+            None => HourOutcome {
+                hour: plan.hour,
                 olevs: 0,
-                beta,
+                beta: plan.beta,
                 welfare: 0.0,
                 congestion: 0.0,
                 unit_payment: 0.0,
@@ -157,48 +180,105 @@ pub fn run_day(config: &DailyConfig) -> Result<DailyReport, oes_game::GameError>
                 revenue: 0.0,
                 updates: 0,
                 converged: true,
-            });
-            continue;
-        }
-        let mut game = GameBuilder::new()
-            .sections(config.sections, Kilowatts::new(cap.value()))
-            .olevs_weighted(
-                fleet,
-                Kilowatts::new(p_max.value()),
-                config.satisfaction_weight,
-            )
-            .pricing(PricingPolicy::Nonlinear(NonlinearPricing::paper_default(
-                beta,
-            )))
-            .eta(config.eta)
-            .build()?;
-        let outcome = game.run(
-            UpdateOrder::Random {
-                seed: config.seed.wrapping_add(hour as u64),
             },
-            30_000,
-        )?;
-        // Power sustained for the hour = energy in kWh numerically.
-        let energy_mwh = game.schedule().total() / 1000.0;
-        ev_hourly_mwh[hour] = energy_mwh;
-        hours.push(HourOutcome {
-            hour,
-            olevs: fleet,
-            beta,
-            welfare: game.welfare(),
-            congestion: game.system_congestion(),
-            unit_payment: game.unit_payment_dollars_per_mwh(),
-            energy_mwh,
-            revenue: game.total_payment(),
-            updates: outcome.updates(),
-            converged: outcome.converged(),
-        });
+        };
+        ev_hourly_mwh[plan.hour] = outcome.energy_mwh;
+        outcomes.push(outcome);
     }
     let grid_with_olevs = overlay_ev_load(&grid_base, &ev_hourly_mwh, &operator_config);
     Ok(DailyReport {
-        hours,
+        hours: outcomes,
         grid_base,
         grid_with_olevs,
+    })
+}
+
+/// What one hour's game is played with.
+struct HourPlan {
+    hour: usize,
+    fleet: usize,
+    /// The hour's LBMP, $/MWh.
+    beta: f64,
+}
+
+/// Plays every hour with a fleet, largest fleet first, on
+/// `min(available_parallelism, hours with a fleet)` threads that pull hours
+/// off a shared counter; the calling thread is one of them. Returns one slot
+/// per hour, in hour order, empty for hours without a fleet.
+fn play_hours<T: Send>(hours: &[HourPlan], play: impl Fn(&HourPlan) -> T + Sync) -> Vec<Option<T>> {
+    let mut queue: Vec<usize> = (0..hours.len()).filter(|&h| hours[h].fleet > 0).collect();
+    // Stable: equal fleets keep hour order.
+    queue.sort_by_key(|&h| Reverse(hours[h].fleet));
+    let threads = thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(queue.len());
+    // Relaxed is enough: the counter only hands out queue positions, and
+    // the results come back through `join`, which synchronizes.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        while let Some(&h) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push((h, play(&hours[h])));
+        }
+        done
+    };
+    let done = thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for worker in workers {
+            // A panicking hour re-raises its panic here.
+            done.extend(
+                worker
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        done
+    });
+    let mut slots: Vec<Option<T>> = hours.iter().map(|_| None).collect();
+    for (h, result) in done {
+        slots[h] = Some(result);
+    }
+    slots
+}
+
+/// Builds and runs one hour's pricing game.
+fn play_hour(
+    config: &DailyConfig,
+    plan: &HourPlan,
+    cap_kw: f64,
+    p_max_kw: f64,
+) -> Result<HourOutcome, oes_game::GameError> {
+    let mut game = GameBuilder::new()
+        .sections(config.sections, Kilowatts::new(cap_kw))
+        .olevs_weighted(
+            plan.fleet,
+            Kilowatts::new(p_max_kw),
+            config.satisfaction_weight,
+        )
+        .pricing(PricingPolicy::Nonlinear(NonlinearPricing::paper_default(
+            plan.beta,
+        )))
+        .eta(config.eta)
+        .build()?;
+    let outcome = game.run(
+        UpdateOrder::Random {
+            seed: config.seed.wrapping_add(plan.hour as u64),
+        },
+        30_000,
+    )?;
+    Ok(HourOutcome {
+        hour: plan.hour,
+        olevs: plan.fleet,
+        beta: plan.beta,
+        welfare: game.welfare(),
+        congestion: game.system_congestion(),
+        unit_payment: game.unit_payment_dollars_per_mwh(),
+        // Power sustained for the hour = energy in kWh numerically.
+        energy_mwh: game.schedule().total() / 1000.0,
+        revenue: game.total_payment(),
+        updates: outcome.updates(),
+        converged: outcome.converged(),
     })
 }
 

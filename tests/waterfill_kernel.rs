@@ -7,12 +7,18 @@
 //! best response that bisects its first-order condition in `μ` and then
 //! quotes the total through that level search. Both read nothing but
 //! `Z'`, so they share no structure with the sweep.
+//!
+//! The engine's update runs the same sweep through a move kernel that
+//! writes its row in place and skips the pricing; the last properties pin
+//! one `Game::update_olev` to the public `best_response` bit for bit.
 
 use oes::game::waterfill::{marginal_waterfill, water_level, waterfill, y_function};
 use oes::game::{
-    best_response, payment_for_schedule, LogSatisfaction, NonlinearPricing, OverloadPenalty,
-    PricingPolicy, Satisfaction, Scheduler, SectionCost, SqrtSatisfaction,
+    best_response, payment_for_schedule, Game, GameBuilder, LinearPricing, LogSatisfaction,
+    NonlinearPricing, OverloadPenalty, PricingPolicy, Satisfaction, Scheduler, SectionCost,
+    SqrtSatisfaction,
 };
+use oes::units::{Kilowatts, OlevId};
 
 #[macro_use]
 mod prop;
@@ -302,4 +308,151 @@ properties! {
             assert!(close(*s, (oracle - l).max(0.0)), "{s} vs [{oracle} − {l}]⁺");
         }
     }
+}
+
+/// Zero, likely binding, or slack.
+fn p_max(g: &mut Gen) -> f64 {
+    match g.range(0u32..3) {
+        0 => 0.0,
+        1 => g.range(0.1f64..10.0),
+        _ => g.range(1e3f64..1e4),
+    }
+}
+
+/// A random game on heterogeneous sections: windowed log OLEVs, full-width
+/// log and sqrt OLEVs, every `P_OLEV` zero, binding or slack, and a
+/// schedule left wherever a few random updates took it.
+fn random_game(g: &mut Gen, policy: PricingPolicy) -> Game {
+    let mut builder = GameBuilder::new()
+        .pricing(policy)
+        .overload(g.range(0.0f64..0.5))
+        .eta(g.range(0.5f64..1.0));
+    let sections = g.range(1usize..16);
+    for _ in 0..sections {
+        builder = builder.section(Kilowatts::new(g.range(5.0f64..120.0)));
+    }
+    for _ in 0..g.range(1usize..8) {
+        let p_max = Kilowatts::new(p_max(g));
+        let weight = 10f64.powf(g.range(-1.0f64..1.0));
+        builder = match g.range(0u32..3) {
+            0 => {
+                let start = g.range(0..sections);
+                let end = g.range(start + 1..sections + 1);
+                builder.olevs_weighted_in(1, p_max, weight, start..end)
+            }
+            1 => builder.olev_with(p_max, Box::new(LogSatisfaction::new(weight))),
+            _ => builder.olev_with(p_max, Box::new(SqrtSatisfaction::new(weight))),
+        };
+    }
+    let mut game = builder.build().expect("valid game");
+    let olevs = game.olev_count();
+    for _ in 0..g.range(0..3 * olevs) {
+        game.update_olev(g.range(0..olevs)).expect("in range");
+    }
+    game
+}
+
+/// Runs one `update_olev(n)` and asserts that it wrote exactly the row and
+/// total `best_response` gives on the pre-update `P_{-n,c}`: the response's
+/// shares inside the OLEV's window, zeros outside, the other rows untouched.
+/// Returns the response's total.
+fn assert_update_is_best_response(game: &mut Game, n: usize) -> f64 {
+    let id = OlevId(n);
+    let before = game.schedule().clone();
+    let loads_excl = before.loads_excluding(id);
+    let (w0, w1) = game.windows()[n];
+    let br = best_response(
+        game.satisfactions()[n].as_ref(),
+        game.cost(),
+        &game.caps()[w0..w1],
+        &loads_excl[w0..w1],
+        game.p_max()[n],
+        game.scheduler(),
+    );
+    let change = game.update_olev(n).expect("in range");
+    assert_eq!(
+        change.to_bits(),
+        (br.total - before.olev_total(id)).abs().to_bits(),
+        "OLEV {n}: |Δp| {change} vs best response total {}",
+        br.total
+    );
+    let row = game.schedule().row(id);
+    for (c, &v) in row.iter().enumerate() {
+        let expected = if (w0..w1).contains(&c) {
+            br.allocation.shares[c - w0]
+        } else {
+            0.0
+        };
+        assert_eq!(
+            v.to_bits(),
+            expected.to_bits(),
+            "OLEV {n} section {c}: {v} vs {expected}"
+        );
+    }
+    for m in (0..game.olev_count()).filter(|&m| m != n) {
+        assert_eq!(
+            game.schedule().row(OlevId(m)),
+            before.row(OlevId(m)),
+            "OLEV {m} moved"
+        );
+    }
+    br.total
+}
+
+#[test]
+fn engine_update_is_the_best_response_bit_for_bit() {
+    // Which case of Eq. 22 each checked update fell in, and how many were
+    // windowed.
+    let (mut idle, mut bound, mut interior, mut windowed) = (0, 0, 0, 0);
+    check(
+        "engine_update_is_the_best_response_bit_for_bit",
+        DEFAULT_CASES,
+        |g| {
+            let beta = g.range(5.0f64..100.0);
+            let mut game = random_game(
+                g,
+                PricingPolicy::Nonlinear(NonlinearPricing::paper_default(beta)),
+            );
+            assert_eq!(game.scheduler(), Scheduler::WaterFilling);
+            for n in 0..game.olev_count() {
+                let total = assert_update_is_best_response(&mut game, n);
+                let p_max = game.p_max()[n];
+                if total == 0.0 {
+                    idle += 1;
+                } else if total == p_max {
+                    bound += 1;
+                } else {
+                    interior += 1;
+                }
+                if game.windows()[n] != (0, game.section_count()) {
+                    windowed += 1;
+                }
+            }
+        },
+    );
+    for (case, count) in [
+        ("zero", idle),
+        ("bound", bound),
+        ("interior", interior),
+        ("windowed", windowed),
+    ] {
+        assert!(count >= 10, "only {count} {case} updates were checked");
+    }
+}
+
+#[test]
+fn greedy_engine_update_is_the_best_response_bit_for_bit() {
+    check(
+        "greedy_engine_update_is_the_best_response_bit_for_bit",
+        DEFAULT_CASES / 4,
+        |g| {
+            let beta = g.range(5.0f64..100.0);
+            let mut game =
+                random_game(g, PricingPolicy::Linear(LinearPricing::paper_default(beta)));
+            assert_eq!(game.scheduler(), Scheduler::Greedy);
+            for n in 0..game.olev_count() {
+                assert_update_is_best_response(&mut game, n);
+            }
+        },
+    );
 }
